@@ -83,7 +83,8 @@ def item(name, net, check=None, paths=(), sims=(), expect=0) -> dict:
     return {"name": name, "net": net, "check": check, "paths": list(paths), "sims": list(sims), "expect": expect}
 
 
-def fleet_sims(start: str = "ray:1e12") -> list[list[str]]:
+def simulate_set(start: str) -> list[list[str]]:
+    """The four `simulate` variants from one start, up to SIM_STEPS steps."""
     common = ["--start", start, "--steps", str(SIM_STEPS)]
     return [
         ["--variant", "base"] + common,
@@ -115,10 +116,10 @@ def fleet(rng) -> list[dict]:
         ),
         "pair2-max-power": edge_net(2, "max", [(j, i, power(rng, rng.uniform(*band))) for j, i in [(0, 1), (1, 0)]]),
     }
-    items = [item(k, v, check=[], paths=FLEET_PATHS, sims=fleet_sims()) for k, v in nets.items()]
+    items = [item(k, v, check=[], paths=FLEET_PATHS, sims=simulate_set("ray:1e12")) for k, v in nets.items()]
     # Stable (rho(A) = 0.9995 < 1) but `check` exits 1 today; kept as a known fault.
     nearcrit = edge_net(3, "sum", [(0, 1, linear(0.9995)), (1, 0, linear(0.9995)), (0, 2, linear(1000.0))])
-    items.append(item("nearcrit", nearcrit, check=[], sims=fleet_sims()))
+    items.append(item("nearcrit", nearcrit, check=[], sims=simulate_set("ray:1e12")))
     return items
 
 
@@ -175,7 +176,7 @@ REFUTE_PATHS = [["--method", "minimal"], ["--method", "combined"]]
 
 
 def refute(rng) -> list[dict]:
-    sims = fleet_sims("ray:1")
+    sims = simulate_set("ray:1")
     out = [
         item("glob-max3", edge_net(3, "max", [(j, i, pl(rng, (1.3, 1.5))) for j, i in [(0, 1), (1, 2), (2, 0), (1, 0)]])),
     ]
