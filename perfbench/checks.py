@@ -29,7 +29,8 @@ class Report:
         self.correct = True
 
     def fail(self, op: dict, why: str) -> None:
-        """An operation that did not do its job (wrong exit code or a crash)."""
+        """An operation that did not do its job: a wrong exit code, a crash, or a
+        refutation at a knot where the small-gain condition holds."""
         self.failed += 1
         op["failed"] = True
         self.lines.append(f"FAILED {op['item']['name']} {op['kind']}: {why}")
@@ -124,7 +125,7 @@ def check_check(report: Report, op: dict) -> None:
 
 def check_path(report: Report, op: dict) -> None:
     item, net = op["item"], _ref(op["item"])
-    argv, name = op["argv"], f"{op['item']['name']} path {_flag(op['argv'], '--method')}"
+    name = f"{item['name']} path {_flag(op['argv'], '--method')}"
     verdicts = _cert(op["files"][0])["verdicts"]
     if op["expect"] == 1:
         bad = [v for v in verdicts if v["status"] == "fail"]
@@ -133,12 +134,10 @@ def check_path(report: Report, op: dict) -> None:
         level = item["crossing"]
         for v in bad:
             knot = (v.get("counterexample") or {}).get("knot")
-            if knot is None:
-                continue
-            # minimal iterates from the ray at the knot; combined first from the ray at 2 max(knot, 1)
-            start = knot if _flag(argv, "--method") == "minimal" else 2.0 * max(knot, 1.0)
-            if start < level * (1.0 - 1e-9):
-                report.problem(f"{name}: fails at knot {knot} (start {start}) below the crossing level {level}")
+            if knot is not None and knot < level * (1.0 - 1e-9):
+                # below the crossing level every ball is mapped into itself: a wrong refutation
+                report.fail(op, f"fails at knot {knot}, below the crossing level {level}")
+                break
         return
     data = json.loads(Path(op["files"][1]).read_text())
     r, pts = np.asarray(data["r_grid"]), np.asarray(data["points"])
@@ -211,9 +210,15 @@ def _canonical(path: str) -> str:
 
 
 def same_outputs(report: Report, first: list[dict], later: list[dict]) -> None:
-    """A later round must write the first round's bytes (timing aside)."""
+    """A later round must write the first round's bytes (timing aside).
+
+    An operation of the first round that the reference checks failed fails
+    again in the later round, whose output is the same.
+    """
     for a, b in zip(first, later):
         for fa, fb in zip(a["files"], b["files"]):
             exists = Path(fa).exists(), Path(fb).exists()
             if exists[0] != exists[1] or (exists[0] and _canonical(fa) != _canonical(fb)):
                 report.problem(f"{a['item']['name']} {a['kind']}: {Path(fb).name} differs from the first round")
+        if a.get("failed") and not b.get("failed"):
+            report.fail(b, "same output as in the first round")

@@ -12,9 +12,11 @@ output is one JSON object with ``correct``, ``attempted``, ``failed`` and
 ``metrics``.
 
 ``--trace 0`` reports the end-to-end metrics (see README.md).  ``--trace 1``
-runs the first round untraced and the rest with the wrappers of
-``spans.py`` installed, prints the tracing overhead, and reports the
-per-layer metrics of one round (the median over the traced rounds).
+alternates untraced rounds with rounds that have the wrappers of
+``spans.py`` installed, at least four rounds in all, prints the tracing
+overhead (median traced round against median untraced round), and
+reports the per-layer metrics of one round (the median over the traced
+rounds).
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ ROOT = BENCH.parent
 SRC = ROOT / "src"
 WORK = BENCH / "_work"
 CHECK_SEED = 7
-SETUP_IMPORTS = 5
+SETUP_FIRST = 3  # fresh imports timed before the first round
+SETUP_PER_ROUND = 2  # and after every round
 MIN_ROUNDS = 2
 
 sys.path.insert(0, str(BENCH))
@@ -46,11 +49,11 @@ import gen  # noqa: E402
 from spans import METRICS, Tracer  # noqa: E402
 
 
-def setup_seconds() -> list[float]:
+def setup_seconds(count: int) -> list[float]:
     """Fresh interpreters, each timed from launch until ``import sglab.cli`` is done."""
     code = f"import sys, time; sys.path.insert(0, {str(SRC)!r}); import sglab.cli; print(repr(time.time()))"
     samples = []
-    for _ in range(SETUP_IMPORTS):
+    for _ in range(count):
         t0 = time.time()
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
         samples.append(float(done.stdout.strip().splitlines()[-1]) - t0)
@@ -94,27 +97,24 @@ def run_round(cli, items: list[dict], out: Path) -> dict:
     return {"ops": ops, "seconds": time.perf_counter() - t_round, "dir": out}
 
 
-def per_item_median(rounds: list[dict], kind: str) -> list[float]:
-    """For each item with commands of ``kind``: the median over rounds of its per-round total."""
-    totals: dict[str, list[float]] = {}
+def per_item_mean(rounds: list[dict], kind: str) -> list[float]:
+    """For each item with commands of ``kind``: the mean over rounds of its per-round total."""
+    totals: dict[str, float] = {}
     for rnd in rounds:
-        per_round: dict[str, float] = {}
         for op in rnd["ops"]:
             if op["kind"] == kind:
-                per_round[op["item"]["name"]] = per_round.get(op["item"]["name"], 0.0) + op["seconds"]
-        for name, secs in per_round.items():
-            totals.setdefault(name, []).append(secs)
-    return [statistics.median(v) for v in totals.values()]
+                totals[op["item"]["name"]] = totals.get(op["item"]["name"], 0.0) + op["seconds"]
+    return [t / len(rounds) for t in totals.values()]
 
 
-def end_to_end(rounds, loop_seconds, n_items, setup, peak_mb) -> dict:
+def end_to_end(rounds, n_items, setup, peak_mb) -> dict:
     metric = lambda value, unit: {"value": value, "unit": unit}  # noqa: E731
     return {
         "setup_s": metric(statistics.median(setup), "s"),
-        "check_s": metric(statistics.fmean(per_item_median(rounds, "check")), "s"),
-        "path_s": metric(statistics.fmean(per_item_median(rounds, "path")), "s"),
-        "simulate_s": metric(statistics.fmean(per_item_median(rounds, "simulate")), "s"),
-        "nets_per_s": metric(n_items * len(rounds) / loop_seconds, "1/s"),
+        "check_s": metric(statistics.fmean(per_item_mean(rounds, "check")), "s"),
+        "path_s": metric(statistics.fmean(per_item_mean(rounds, "path")), "s"),
+        "simulate_s": metric(statistics.fmean(per_item_mean(rounds, "simulate")), "s"),
+        "nets_per_s": metric(n_items * len(rounds) / sum(r["seconds"] for r in rounds), "1/s"),
         "peak_rss_mb": metric(peak_mb, "MB"),
     }
 
@@ -130,7 +130,6 @@ def main(argv=None) -> int:
     if not (SRC / "sglab" / "cli.py").is_file():
         print(f"no sglab sources at {SRC}; run from a checkout of the repository", file=sys.stderr)
         return 2
-    setup = [] if args.trace else setup_seconds()
     sys.path.insert(0, str(SRC))
     import sglab.cli as cli
 
@@ -142,27 +141,32 @@ def main(argv=None) -> int:
     shutil.rmtree(work, ignore_errors=True)
     items = gen.write(args.workload, args.seed, work / "nets")
 
+    # Set-up is timed before the first round and again after every round, so its
+    # median samples the machine across the whole run, not in one moment.
+    setup = [] if args.trace else setup_seconds(SETUP_FIRST)
     tracer = Tracer() if args.trace else None
     layer_rounds: list[dict] = []
     rounds: list[dict] = []
+    min_rounds = MIN_ROUNDS if tracer is None else 2 * MIN_ROUNDS
     t_loop = time.perf_counter()
     while True:
-        if tracer is not None and rounds:
-            if len(rounds) == 1:
-                tracer.install()
+        traced = tracer is not None and len(rounds) % 2 == 1  # traced run: untraced and traced rounds alternate
+        if traced:
+            tracer.install()
             tracer.new_round()
         rounds.append(run_round(cli, items, work / f"round{len(rounds)}"))
-        if tracer is not None and len(rounds) > 1:
+        rounds[-1]["traced"] = traced
+        if traced:
+            tracer.uninstall()
             layer_rounds.append(tracer.round_metrics())
             tracer.keep_spans = False
+        if tracer is None:
+            setup += setup_seconds(SETUP_PER_ROUND)
         elapsed = time.perf_counter() - t_loop
         mean_round = elapsed / len(rounds)
-        if len(rounds) >= MIN_ROUNDS and elapsed + mean_round > args.seconds:
+        if len(rounds) >= min_rounds and elapsed + mean_round > args.seconds:
             break
-    loop_seconds = time.perf_counter() - t_loop
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # before the checks add their own
-    if tracer is not None:
-        tracer.uninstall()
 
     report = checks.Report()
     for rnd in rounds:
@@ -175,7 +179,7 @@ def main(argv=None) -> int:
         checks.same_outputs(report, rounds[0]["ops"], rnd["ops"])
 
     if tracer is None:
-        metrics = end_to_end(rounds, loop_seconds, len(items), setup, peak_mb)
+        metrics = end_to_end(rounds, len(items), setup, peak_mb)
     else:
         counts = [{k: v for k, v in r.items() if METRICS[k][0] != "s"} for r in layer_rounds]
         if any(c != counts[0] for c in counts[1:]):
@@ -184,17 +188,18 @@ def main(argv=None) -> int:
             name: {"value": statistics.median(r[name] for r in layer_rounds), "unit": unit}
             for name, (unit, _) in METRICS.items()
         }
-        traced = statistics.median(r["seconds"] for r in rounds[1:])
+        on = statistics.median(r["seconds"] for r in rounds if r["traced"])
+        off = statistics.median(r["seconds"] for r in rounds if not r["traced"])
         print(
-            f"tracing overhead: {100.0 * (traced / rounds[0]['seconds'] - 1.0):+.1f}% "
-            f"(traced round {traced:.3f} s, untraced round {rounds[0]['seconds']:.3f} s)"
+            f"tracing overhead: {100.0 * (on / off - 1.0):+.1f}% (median of {len(layer_rounds)} traced rounds "
+            f"{on:.3f} s, of {len(rounds) - len(layer_rounds)} untraced rounds {off:.3f} s)"
         )
         tracer.dump(work.with_name(work.name + "-spans.json"))
 
     for line in report.lines[:20]:
         print(line, file=sys.stderr)
     shutil.rmtree(work, ignore_errors=True)
-    print(f"{args.workload} seed {args.seed}: {len(rounds)} rounds in {loop_seconds:.1f} s")
+    print(f"{args.workload} seed {args.seed}: {len(rounds)} rounds in {time.perf_counter() - t_loop:.1f} s")
     result = {"correct": report.correct, "attempted": report.attempted, "failed": report.failed, "metrics": metrics}
     print(json.dumps(result))
     return 0

@@ -1,14 +1,16 @@
 """Steadiness check: two sets of benchmark runs of the same code.
 
     python3 perfbench/steady.py --runs 10 --log perfbench/_work/steady.jsonl
+    python3 perfbench/steady.py --runs 5 --same-seed --log perfbench/_work/same-seed.jsonl
     python3 perfbench/steady.py --report perfbench/results/steady.jsonl
 
 Each set runs every workload ``--runs`` times, one seed per run (set A
 seeds 1.., set B seeds 101..), with ``run_seconds`` from BENCHMARK.json.
-For each end-to-end metric and set it prints the median and quartiles,
-the spread (quartile distance over median) and the drift of set B's
-median against set A's, and whether both stay within the metric's
-``bound``.  ``setup_s`` is held to its bound on drift only.  The share of
+With ``--same-seed`` every run of set A uses seed 1 and every run of set
+B seed 101, so the spread is the machine's alone.  For each end-to-end
+metric and set it prints the median and quartiles, the spread (quartile
+distance over median) and the drift of set B's median against set A's,
+and whether both stay within the metric's ``bound``.  The share of
 failed operations must be the same in both sets.
 """
 
@@ -34,19 +36,20 @@ def run_once(workload: str, seed: int, seconds: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def collect(runs: int, workloads: list[str], log: Path) -> list[dict]:
+def collect(runs: int, workloads: list[str], log: Path, same_seed: bool) -> list[dict]:
     log.parent.mkdir(parents=True, exist_ok=True)
     rows = []
     with log.open("a") as fh:
         for set_name, base in SEED_BASE.items():
             for workload in workloads:
                 for k in range(runs):
-                    res = run_once(workload, base + k, SPEC["run_seconds"])
-                    row = {"set": set_name, "workload": workload, "seed": base + k, "result": res}
+                    seed = base if same_seed else base + k
+                    res = run_once(workload, seed, SPEC["run_seconds"])
+                    row = {"set": set_name, "workload": workload, "seed": seed, "result": res}
                     fh.write(json.dumps(row) + "\n")
                     fh.flush()
                     rows.append(row)
-                    print(f"set {set_name} {workload} seed {base + k}: {json.dumps(res['metrics'])}", flush=True)
+                    print(f"set {set_name} {workload} seed {seed}: {json.dumps(res['metrics'])}", flush=True)
     return rows
 
 
@@ -73,7 +76,7 @@ def summarize(rows: list[dict]) -> bool:
                 stats[s] = (q2, q1, q3, (q3 - q1) / q2)
             worse = (stats["B"][0] - stats["A"][0]) / stats["A"][0] * (1 if m["better"] == "lower" else -1)
             spread = max(stats["A"][3], stats["B"][3])
-            good = worse <= bound and (name == "setup_s" or spread <= bound)
+            good = worse <= bound and spread <= bound
             ok &= good
             for s, (q2, q1, q3, sp) in stats.items():
                 line = f"  {name:<12} {s:<3} {q2:>11.5g} {q1:>11.5g} {q3:>11.5g} {sp:>7.3f}"
@@ -87,13 +90,14 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--workloads", nargs="*", default=[w["name"] for w in SPEC["workloads"]])
+    p.add_argument("--same-seed", action="store_true", help="one seed for every run of a set")
     p.add_argument("--log", type=Path, default=ROOT / "perfbench" / "_work" / "steady.jsonl")
     p.add_argument("--report", type=Path, help="summarize an existing log instead of running")
     args = p.parse_args()
     if args.report:
         rows = [json.loads(line) for line in args.report.read_text().splitlines() if line.strip()]
     else:
-        rows = collect(args.runs, args.workloads, args.log)
+        rows = collect(args.runs, args.workloads, args.log, args.same_seed)
     ok = summarize(rows)
     print("\nsets agree within the bounds" if ok else "\nsets DO NOT agree within the bounds")
     return 0 if ok else 1

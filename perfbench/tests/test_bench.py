@@ -4,10 +4,12 @@ Run with ``python3 -m pytest perfbench/tests`` from the repository root.
 """
 
 import filecmp
+import json
 
 import numpy as np
 import pytest
 
+import checks
 import gen
 from ref import PL, RefNet, crossing_level, max_cycle_mean, spectral_radius
 from sglab.dynamics import as_operator
@@ -97,3 +99,17 @@ def test_fleet_and_lattice_contract_with_margin():
             a = net.matrix()
             rate = a.max() if net.maf == "max" else a.sum(axis=1).max()
             assert rate * gen.MARGIN < 1.0, it["name"]
+
+
+@pytest.mark.parametrize("knot, failed", [(2.0**-10, 1), (0.125, 0)])
+def test_refutation_below_the_crossing_level_is_a_failed_operation(tmp_path, knot, failed):
+    g = {"type": "pl", "points": [[0.0, 0.0], [1.0 / 15.0, 0.5 / 15.0]], "final_slope": 2.0}
+    net = gen.edge_net(2, "max", [(0, 1, g), (1, 0, g)])
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"verdicts": [{"status": "fail", "counterexample": {"knot": knot}}]}))
+    it = gen.item("x", net, expect=1)
+    it["crossing"] = crossing_level(RefNet(net))
+    op = {"item": it, "kind": "path", "argv": ["path", "x.json", "--method", "combined"], "files": [str(cert)], "expect": 1}
+    report = checks.Report()
+    checks.check_path(report, op)
+    assert (report.failed, report.correct) == (failed, True)
