@@ -18,7 +18,7 @@ from .certificate import Certificate
 from .cone import ones, sup_norm
 from .dynamics import StopRule, as_operator, iterate, stability_battery
 from .kfun import KFun, linear, power_kfun
-from .network import NetworkError, network_from_dict, network_from_json
+from .network import NetworkError, network_from_dict, network_from_json, subnetwork
 from .paths import (
     PathConstructionError,
     combined_path,
@@ -121,7 +121,7 @@ def cmd_check(args) -> int:
         )
         verdicts.append(max_mbi_probe(network, rho, grid).to_dict())
         if network.uniform_maf == "max":
-            verdicts.append(cycle_gain_check(network, rho).to_dict())
+            verdicts.append(cycle_gain_check(network, rho, grid).to_dict())
         if network.all_gains_linear and network.uniform_maf in ("max", "sum") and (rho is None or rho.is_linear):
             verdicts.append(spectral_condition(network, rho=rho, seed=args.seed).to_dict())
         return verdicts
@@ -197,7 +197,7 @@ def cmd_path(args) -> int:
     )
     if args.restrict:
         nodes = [int(v) for v in args.restrict.split(",")]
-        sub_report = validate(restrict_path(path, nodes), _sub(net, nodes))
+        sub_report = validate(restrict_path(path, nodes), subnetwork(net, nodes))
         cert.paths.append({"method": f"{args.method}|restricted", "report": sub_report.to_dict()})
     if args.path_out:
         with open(args.path_out + ".json", "w") as fh:
@@ -211,12 +211,6 @@ def cmd_path(args) -> int:
             )
     _emit(cert, args.out)
     return 1 if cert.has_fail else 0
-
-
-def _sub(net, nodes):
-    from .network import subnetwork
-
-    return subnetwork(net, nodes)
 
 
 def cmd_simulate(args) -> int:

@@ -18,15 +18,12 @@ __all__ = [
     "Rel",
     "OrderRelation",
     "CoercivityResult",
-    "as_cone",
     "ones",
     "unit",
     "oplus",
     "sup_norm",
     "order_compare",
     "leq",
-    "apply_kfun",
-    "restrict",
     "coercivity_check",
 ]
 
@@ -67,17 +64,6 @@ class CoercivityResult:
     slack: float = np.inf  # min_i s_i - phi(||s||), worst case
 
 
-def as_cone(values, n: int | None = None) -> np.ndarray:
-    s = np.asarray(values, dtype=float)
-    if s.ndim != 1:
-        raise ValueError("cone vectors are 1-d")
-    if n is not None and len(s) != n:
-        raise ValueError(f"index set mismatch: expected {n} entries, got {len(s)}")
-    if np.any(s < 0):
-        raise ValueError("cone vectors must be entrywise nonnegative")
-    return s
-
-
 def ones(n: int) -> np.ndarray:
     return np.ones(n)
 
@@ -100,7 +86,7 @@ def oplus(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def sup_norm(s: np.ndarray) -> float:
-    return float(np.max(np.abs(s))) if s.size else 0.0
+    return float(np.abs(s).max()) if s.size else 0.0
 
 
 def order_compare(s: np.ndarray, t: np.ndarray) -> OrderRelation:
@@ -125,19 +111,6 @@ def order_compare(s: np.ndarray, t: np.ndarray) -> OrderRelation:
 def leq(s: np.ndarray, t: np.ndarray, tol: float = 0.0) -> bool:
     _check_same(s, t)
     return bool(np.all(t - s >= -tol))
-
-
-def apply_kfun(f: KFun, s: np.ndarray) -> np.ndarray:
-    """Componentwise application of a comparison function."""
-    return f(s)
-
-
-def restrict(s: np.ndarray, nodes) -> np.ndarray:
-    """Zero out the entries outside ``nodes`` (same index set)."""
-    out = np.zeros_like(s)
-    idx = np.fromiter(nodes, dtype=int)
-    out[idx] = s[idx]
-    return out
 
 
 def coercivity_check(vectors, phi: KFun) -> CoercivityResult:

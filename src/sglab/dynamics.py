@@ -9,6 +9,9 @@ Evaluation is exactly monotone in floating point (inherited from the
 clamped PL gain evaluation plus max/sum aggregation), which makes the
 augmented/projected iteration identities hold bit for bit, not just up
 to tolerance.
+
+Every iteration here (trajectories, fixed points, cofinality witnesses
+and the stability battery's rays) goes through the one loop ``_run``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ __all__ = [
     "min_fixed_point",
     "max_fixed_point",
     "decay_margin",
-    "is_decay_point",
     "cofinality_witness",
     "CofinalityResult",
     "StabilityReport",
@@ -194,39 +196,51 @@ def as_operator(net_or_op) -> GainOperator:
 
 
 def _base_apply(net: GainNetwork, s: np.ndarray) -> np.ndarray:
-    """Raw gain-operator evaluation; vectorized over edge groups."""
+    """Raw gain-operator evaluation: edge groups scatter into max and sum
+    nodes, then each custom node aggregates its gained in-values per column."""
     out = np.zeros_like(s)
-    kinds = net.maf_kinds
-    custom_nodes = [i for i, k in enumerate(kinds) if k == "custom"]
-    if net.uniform_maf in ("max", "sum"):
-        agg = np.maximum.at if net.uniform_maf == "max" else np.add.at
-        for gain, src, dst in net._edge_groups:
-            agg(out, dst, gain(s[src]))
-        return out
-    kind_code = np.asarray([0 if k == "max" else 1 if k == "sum" else 2 for k in kinds])
-    for gain, src, dst in net._edge_groups:
-        vals = gain(s[src])
-        codes = kind_code[dst]
-        mx = codes == 0
-        if np.any(mx):
-            np.maximum.at(out, dst[mx], vals[mx])
-        sm = codes == 1
-        if np.any(sm):
-            np.add.at(out, dst[sm], vals[sm])
-    for i in custom_nodes:
-        srcs, gains = net._in_edges[i]
-        if len(srcs) == 0:
-            continue
-        if s.ndim == 1:
-            vals = np.asarray([g(s[j]) for g, j in zip(gains, srcs)])
-            out[i] = net.mafs[i].evaluate(vals)
-        else:
-            cols = np.stack([g(s[j]) for g, j in zip(gains, srcs)])
-            out[i] = [net.mafs[i].evaluate(cols[:, m]) for m in range(s.shape[1])]
+    for gain, src, dst, agg in net._edge_groups:
+        agg(out, dst, gain(s[src]))
+    for i, srcs, gains, maf in net._custom_in_edges:
+        cols = np.stack([g(s[j]) for g, j in zip(gains, srcs)]).reshape(len(srcs), -1)
+        vals = [maf.evaluate(c) for c in cols.T]
+        out[i] = vals if s.ndim == 2 else vals[0]
     return out
 
 
 # -- iteration ------------------------------------------------------------
+
+
+def _run(op, s: np.ndarray, max_iter: int, tol: float, bound: float, direction: int = 0, states=None):
+    """The one monotone-iteration loop: ``s <- op(s)`` until a stop rule fires.
+
+    Divergence (sup norm above ``bound``) is tested before convergence
+    (sup-norm step at most ``tol``).  ``direction`` +1 (-1) asserts an
+    increasing (decreasing) trajectory up to ``1e-12`` times the largest
+    norm seen so far.  ``states``, when given, receives every new state.
+    Returns (point, iterations, residual, status); the residual is the
+    last step, or the norm at divergence.
+    """
+    scale = max(1.0, sup_norm(s))
+    step = np.inf
+    for it in range(1, max_iter + 1):
+        nxt = op(s)
+        drift = nxt - s
+        if direction > 0 and np.any(drift < -1e-12 * scale):
+            raise MonotoneStepError("projected trajectory failed to increase")
+        if direction < 0 and np.any(drift > 1e-12 * scale):
+            raise MonotoneStepError("projected trajectory failed to decrease")
+        if states is not None:
+            states.append(nxt)
+        step = sup_norm(drift)
+        s = nxt
+        norm = sup_norm(s)
+        scale = max(scale, norm)
+        if norm > bound:
+            return s, it, norm, StopReason.DIVERGED
+        if step <= tol:
+            return s, it, step, StopReason.CONVERGED
+    return s, max_iter, step, StopReason.MAX_ITER
 
 
 def iterate(op, s0: np.ndarray, stop: StopRule = StopRule()) -> Trajectory:
@@ -235,49 +249,25 @@ def iterate(op, s0: np.ndarray, stop: StopRule = StopRule()) -> Trajectory:
     Stops when the sup-norm step falls to ``stop.tol`` (converged), after
     ``stop.max_iter`` steps, or when the norm passes the divergence bound.
     """
-    op = as_operator(op)
     s = np.asarray(s0, dtype=float).copy()
-    bound = stop.bound_for(s)
     states = [s]
-    step = np.inf
-    for _ in range(stop.max_iter):
-        nxt = op(s)
-        states.append(nxt)
-        step = sup_norm(nxt - s)
-        s = nxt
-        if sup_norm(s) > bound:
-            return Trajectory(states, StopReason.DIVERGED, sup_norm(s))
-        if step <= stop.tol:
-            return Trajectory(states, StopReason.CONVERGED, step)
-    return Trajectory(states, StopReason.MAX_ITER, step)
+    _, _, residual, status = _run(as_operator(op), s, stop.max_iter, stop.tol, stop.bound_for(s), states=states)
+    return Trajectory(states, status, residual)
 
 
-def _project_iterate(op: GainOperator, b: np.ndarray, s0: np.ndarray, stop: StopRule, direction: int):
+def _fixed_point(op: GainOperator, b: np.ndarray, s0: np.ndarray, stop: StopRule, direction: int) -> FixedPointResult:
     """Iterate ``s <- b max T(s)`` from ``s0``, asserting monotone stepping.
 
     ``direction`` +1 demands an increasing trajectory, -1 a decreasing one.
-    Returns (point, iterations, residual, status) without storing states.
+    On convergence the residual is the sup-norm defect of the limit.
     """
     proj = op.projected(b)
-    scale = max(1.0, sup_norm(s0))
-    tol = stop.tol * max(1.0, sup_norm(b), 1e-12)
-    bound = stop.bound_for(s0)
     s = np.asarray(s0, dtype=float).copy()
-    for it in range(1, stop.max_iter + 1):
-        nxt = proj(s)
-        drift = nxt - s
-        if direction > 0 and np.any(drift < -1e-12 * scale):
-            raise MonotoneStepError("projected trajectory failed to increase")
-        if direction < 0 and np.any(drift > 1e-12 * scale):
-            raise MonotoneStepError("projected trajectory failed to decrease")
-        step = sup_norm(drift)
-        s = nxt
-        scale = max(scale, sup_norm(s))
-        if sup_norm(s) > bound:
-            return s, it, sup_norm(s), StopReason.DIVERGED
-        if step <= tol:
-            return s, it, sup_norm(proj(s) - s), StopReason.CONVERGED
-    return s, stop.max_iter, step, StopReason.MAX_ITER
+    tol = stop.tol * max(1.0, sup_norm(b))
+    point, its, res, status = _run(proj, s, stop.max_iter, tol, stop.bound_for(s), direction)
+    if status is StopReason.CONVERGED:
+        res = sup_norm(proj(point) - point)
+    return FixedPointResult(point, its, res, status)
 
 
 def min_fixed_point(net_or_op, b: np.ndarray, stop: StopRule = StopRule()) -> FixedPointResult:
@@ -286,10 +276,8 @@ def min_fixed_point(net_or_op, b: np.ndarray, stop: StopRule = StopRule()) -> Fi
     The trajectory is increasing (asserted each step); divergence is
     reported as evidence against bounded invertibility rather than raised.
     """
-    op = as_operator(net_or_op)
     b = np.asarray(b, dtype=float)
-    point, its, res, status = _project_iterate(op, b, b, stop, direction=+1)
-    return FixedPointResult(point, its, res, status)
+    return _fixed_point(as_operator(net_or_op), b, b, stop, direction=+1)
 
 
 def max_fixed_point(
@@ -314,17 +302,17 @@ def max_fixed_point(
     for _ in range(retries + 1):
         top = min_fixed_point(op, cap * ones(op.n), stop)
         if top.status is not StopReason.CONVERGED:
-            return FixedPointResult(top.point, top.iterations, top.residual, top.status)
+            return top
         try:
-            point, its, res, status = _project_iterate(op, b, top.point, stop, direction=-1)
+            res = _fixed_point(op, b, top.point, stop, direction=-1)
         except MonotoneStepError as exc:
             last_exc = exc
             cap *= 2.0
             continue
         lower = min_fixed_point(op, b, stop)
-        if lower.status is StopReason.CONVERGED and not np.all(point >= lower.point - 1e-8 * max(1.0, sup_norm(point))):
+        if lower.status is StopReason.CONVERGED and not np.all(res.point >= lower.point - 1e-8 * max(1.0, sup_norm(res.point))):
             raise FixedPointError("maximal fixed point fell below the minimal one; raise r_cap")
-        return FixedPointResult(point, its, res, status)
+        return res
     raise FixedPointError(f"descent failed after {retries} cap escalations: {last_exc}")
 
 
@@ -348,12 +336,6 @@ def decay_margin(op, s: np.ndarray, check_interval: bool = True) -> np.ndarray:
     return margin
 
 
-def is_decay_point(op, s: np.ndarray, tol: float = 0.0) -> bool:
-    op = as_operator(op)
-    s = np.asarray(s, dtype=float)
-    return bool(np.all(s - op(s) >= -tol))
-
-
 @dataclass
 class CofinalityResult:
     status: str  # "witness" | "diverged" | "inconclusive"
@@ -368,20 +350,14 @@ def cofinality_witness(net_or_op, s: np.ndarray, stop: StopRule = StopRule()) ->
     evidence against the cofinality of the decay set; hitting the
     iteration cap is reported as inconclusive.
     """
-    op = as_operator(net_or_op)
-    aug = op.augmented()
     s = np.asarray(s, dtype=float).copy()
-    bound = stop.bound_for(s)
     tol = stop.tol * max(1.0, sup_norm(s))
-    for _ in range(stop.max_iter):
-        nxt = aug(s)
-        step = sup_norm(nxt - s)
-        s = nxt
-        if sup_norm(s) > bound:
-            return CofinalityResult("diverged", None, 0)
-        if step <= tol:
-            return CofinalityResult("witness", s, 1)
-    return CofinalityResult("inconclusive", s, 0)
+    point, _, _, status = _run(as_operator(net_or_op).augmented(), s, stop.max_iter, tol, stop.bound_for(s))
+    if status is StopReason.DIVERGED:
+        return CofinalityResult("diverged", None, 0)
+    if status is StopReason.CONVERGED:
+        return CofinalityResult("witness", point, 1)
+    return CofinalityResult("inconclusive", point, 0)
 
 
 # -- stability battery -----------------------------------------------------
@@ -447,45 +423,27 @@ def stability_battery(
     r_grid = np.asarray(sorted(float(r) for r in r_grid))
     if len(r_grid) == 0:
         raise ValueError("r_grid must be nonempty")
-    n = op.n
     kl = np.zeros((len(r_grid), n_max + 1))
     gatt, ugs = [], []
     inconclusive: list[float] = []
     aug_sup: list[tuple[float, float]] = [(0.0, 0.0)]
-    aug = op.augmented()
+    aug_stop = StopRule(min(stop.max_iter, 10 * n_max), stop.tol, stop.divergence_bound)
     for k, r in enumerate(r_grid):
-        s = r * ones(n)
-        kl[k, 0] = r
-        decayed = False
-        for m in range(1, n_max + 1):
-            s = op(s)
-            kl[k, m] = sup_norm(s)
-            if kl[k, m] <= decay_rtol * max(1.0, r):
-                decayed = True
-            if kl[k, m] > 1e30:  # hopeless growth: stop tabulating this ray
-                kl[k, m:] = kl[k, m]
-                break
-        gatt.append(decayed)
-        # augmented iteration: increasing, so the last value is the running sup
-        t = r * ones(n)
-        bound = stop.bound_for(t)
-        bounded = None
-        for _ in range(min(stop.max_iter, 10 * n_max)):
-            nxt = aug(t)
-            step = sup_norm(nxt - t)
-            t = nxt
-            if sup_norm(t) > bound:
-                bounded = False
-                break
-            if step <= stop.tol * max(1.0, r):
-                bounded = True
-                break
-        if bounded is None:
+        # tol 0 stops only at an exact fixed point (its norm then repeats) and
+        # 1e30 at hopeless growth; either way the last norm fills the row
+        states = [r * ones(op.n)]
+        _run(op, states[0], n_max, 0.0, 1e30, states=states)
+        norms = np.abs(np.stack(states)).max(axis=1)
+        kl[k, : len(norms)] = norms
+        kl[k, len(norms) :] = norms[-1]
+        gatt.append(bool(np.any(kl[k, 1:] <= decay_rtol * max(1.0, r))))
+        # augmented iteration: increasing, so its limit norm is the running sup
+        res = cofinality_witness(op, r * ones(op.n), aug_stop)
+        if res.status == "inconclusive":
             inconclusive.append(float(r))
-            bounded = False
-        ugs.append(bounded)
-        if bounded:
-            aug_sup.append((float(r), sup_norm(t)))
+        ugs.append(res.status == "witness")
+        if res.status == "witness":
+            aug_sup.append((float(r), sup_norm(res.point)))
     env = None
     if all(ugs):
         samples = MonotoneSamples.from_pairs(aug_sup)

@@ -157,12 +157,8 @@ class GainNetwork:
         return all(len(nb) > 0 for nb in self.graph.in_neighbors)
 
     @cached_property
-    def maf_kinds(self) -> tuple[str, ...]:
-        return tuple(m.kind for m in self.mafs)
-
-    @cached_property
     def uniform_maf(self) -> str | None:
-        kinds = set(self.maf_kinds)
+        kinds = {m.kind for m in self.mafs}
         return kinds.pop() if len(kinds) == 1 else None
 
     @cached_property
@@ -175,26 +171,36 @@ class GainNetwork:
 
     @cached_property
     def _edge_groups(self):
-        """Edges grouped by shared gain object, for vectorized evaluation."""
-        groups: dict[int, tuple[KFun, list[int], list[int]]] = {}
+        """Edges into max and sum nodes, grouped by gain object, then by aggregation.
+
+        Gains keep the order of their first edge over all edges (custom
+        destinations included), which fixes the summation order.
+        """
+        aggs = {"max": np.maximum.at, "sum": np.add.at}
+        groups: dict[int, tuple[KFun, dict[str, tuple[list[int], list[int]]]]] = {}
         for j, i, g in self.edges:
-            key = id(g)
-            if key not in groups:
-                groups[key] = (g, [], [])
-            groups[key][1].append(j)
-            groups[key][2].append(i)
+            if id(g) not in groups:
+                groups[id(g)] = (g, {kind: ([], []) for kind in aggs})
+            by_kind = groups[id(g)][1]
+            if self.mafs[i].kind in by_kind:
+                src, dst = by_kind[self.mafs[i].kind]
+                src.append(j)
+                dst.append(i)
         return tuple(
-            (g, np.asarray(src, dtype=int), np.asarray(dst, dtype=int)) for g, src, dst in groups.values()
+            (g, np.asarray(src, dtype=int), np.asarray(dst, dtype=int), aggs[kind])
+            for g, by_kind in groups.values()
+            for kind, (src, dst) in by_kind.items()
+            if src
         )
 
     @cached_property
-    def _in_edges(self):
-        """Per node: (source index array, gain list) in in-neighbor order."""
-        table: list[tuple[np.ndarray, list[KFun]]] = []
-        for i, nbrs in enumerate(self.graph.in_neighbors):
-            gains = [self.edge_gain[(j, i)] for j in nbrs]
-            table.append((np.asarray(nbrs, dtype=int), gains))
-        return tuple(table)
+    def _custom_in_edges(self):
+        """Per custom node with in-edges: (node, sources, gains, MAF) in in-neighbor order."""
+        return tuple(
+            (i, nbrs, [self.edge_gain[(j, i)] for j in nbrs], self.mafs[i])
+            for i, nbrs in enumerate(self.graph.in_neighbors)
+            if nbrs and self.mafs[i].kind == "custom"
+        )
 
     def lipschitz_modulus(self) -> KFun:
         """A global uniform-continuity modulus, exact for PL gains.
@@ -409,17 +415,29 @@ def chain_template(gain: KFun, maf: MafSpec = SUM) -> TruncationTemplate:
 
 
 def gain_from_descriptor(desc: dict) -> tuple[KFun, str | None]:
-    """Build a gain from its JSON descriptor; returns (gain, parse note)."""
+    """Build a gain from its JSON descriptor; returns (gain, parse note).
+
+    A malformed descriptor raises :class:`NetworkError`.
+    """
+    if not isinstance(desc, dict):
+        raise NetworkError(f"a gain descriptor must be a JSON object, not {desc!r}")
     kind = desc.get("type")
-    if kind == "linear":
-        return linear(float(desc["k"])), None
-    if kind == "power":
-        lo, hi = desc.get("range", (1e-4, 1e4))
-        f, err = power_kfun(float(desc["c"]), float(desc["p"]), float(lo), float(hi))
-        return f, f"power gain discretized on [{lo}, {hi}] with max relative midpoint error {err:.3e}"
-    if kind == "pl":
-        pts = np.asarray(desc["points"], dtype=float)
-        return KFun(pts[:, 0], pts[:, 1], float(desc["final_slope"])), None
+    try:
+        if kind == "linear":
+            return linear(float(desc["k"])), None
+        if kind == "power":
+            lo, hi = desc.get("range", (1e-4, 1e4))
+            f, err = power_kfun(float(desc["c"]), float(desc["p"]), float(lo), float(hi))
+            return f, f"power gain discretized on [{lo}, {hi}] with max relative midpoint error {err:.3e}"
+        if kind == "pl":
+            pts = np.asarray(desc["points"], dtype=float)
+            if pts.ndim != 2 or pts.shape[1] != 2:
+                raise ValueError("points must be a list of [x, y] pairs")
+            return KFun(pts[:, 0], pts[:, 1], float(desc["final_slope"])), None
+    except KeyError as exc:
+        raise NetworkError(f"{kind} gain descriptor lacks the field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise NetworkError(f"invalid {kind} gain descriptor: {exc}") from exc
     raise NetworkError(f"unknown gain descriptor type {kind!r}")
 
 
@@ -449,11 +467,14 @@ def network_from_dict(data: dict) -> tuple[GainNetwork, list[str]]:
         if data.get("edges"):
             raise NetworkError("give either 'edges' or 'template', not both")
         offsets = []
-        for item in data["template"].get("offsets", []):
-            g, note = gain_from_descriptor(item["gain"])
+        for k, item in enumerate(data["template"].get("offsets", [])):
+            try:
+                g, note = gain_from_descriptor(item["gain"])
+                offsets.append((int(item["offset"]), g))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise NetworkError(f"invalid template offset at position {k}: {exc}") from exc
             if note:
                 notes.append(note)
-            offsets.append((int(item["offset"]), g))
         if not offsets:
             raise NetworkError("template needs at least one offset")
         template = TruncationTemplate(tuple(offsets), maf)

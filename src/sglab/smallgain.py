@@ -82,6 +82,10 @@ class SamplerConfig:
     budget: int = 10_000
     norm_range: tuple[float, float] = (1e-3, 8.0)
 
+    def __post_init__(self):
+        if self.budget < 1:
+            raise ValueError(f"the sampling budget must be at least 1, got {self.budget}")
+
 
 # -- sampling --------------------------------------------------------------
 

@@ -81,6 +81,34 @@ class TestCheck:
     def test_missing_file(self):
         assert main(["check", "/nonexistent/net.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"nodes": 2, "maf": "max", "edges": [{"from": 1, "to": 0, "gain": {"type": "pl", "points": [0, 1], "final_slope": 1}}]},
+            {"nodes": 2, "maf": "max", "edges": [{"from": 1, "to": 0, "gain": {"type": "pl", "points": [[0, 0], [1, 2]]}}]},
+            {"nodes": 3, "maf": "sum", "template": {"offsets": [{"offset": 1}]}},
+            {"nodes": 3, "maf": "sum", "template": {"offsets": [{"offset": 1, "gain": {"type": "pl", "points": [[0, 0], [1, 2]]}}]}},
+        ],
+        ids=["pl-flat-points", "pl-no-final-slope", "template-no-gain", "template-pl-no-final-slope"],
+    )
+    def test_malformed_gain_descriptor(self, data, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["check", str(bad), "--budget", "50"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_rejected(self, files, budget, capsys):
+        assert main(["check", files["a"], "--budget", budget]) == 2
+        assert "budget" in capsys.readouterr().err
+
+    def test_grid_reaches_cycle_gain_check(self, files, tmp_path):
+        out = str(tmp_path / "cert.json")
+        assert main(["check", files["a"], "--budget", "100", "--grid", "geometric:-2:2", "--out", out]) == 0
+        cycle = next(v for v in read_cert(out)["verdicts"] if v["condition"] == "cycle_gain")
+        assert cycle["status"] == "pass" and cycle["witness"]["r_max"] == 4.0
+
     def test_truncation_sweep(self, files, tmp_path):
         out = str(tmp_path / "cert.json")
         code = main(["check", files["chain"], "--N", "20", "--budget", "200", "--out", out])
@@ -137,6 +165,10 @@ class TestPath:
         lines = open(prefix + ".csv").read().strip().splitlines()
         assert lines[0] == "r,x0,x1"
         assert len(lines) == len(dumped["r_grid"]) + 1
+
+    def test_malformed_rho_descriptor(self, files, capsys):
+        assert main(["path", files["a"], "--rho", '{"type": "linear"}']) == 2
+        assert capsys.readouterr().err.startswith("input error:")
 
     def test_divergent_network_reports_knot(self, files, tmp_path):
         out = str(tmp_path / "cert.json")

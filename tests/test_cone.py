@@ -125,12 +125,3 @@ class TestCoercivity:
         rng = np.random.default_rng(12)
         f = random_kfun(rng)
         assert not coercivity_check([unit(4, 2) * 3.0], f).ok
-
-
-class TestRestrict:
-    def test_zeroes_complement(self):
-        from sglab import restrict
-
-        s = vec(1, 2, 3, 4)
-        np.testing.assert_array_equal(restrict(s, [1, 3]), vec(0, 2, 0, 4))
-        np.testing.assert_array_equal(restrict(s, []), np.zeros(4))

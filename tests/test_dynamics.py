@@ -3,6 +3,8 @@ import pytest
 
 from sglab import (
     MAX,
+    SUM,
+    MafSpec,
     StopReason,
     StopRule,
     as_operator,
@@ -20,7 +22,54 @@ from sglab import (
 from conftest import contracting_sum_network, random_kfun, random_network
 
 
+L2 = MafSpec("custom", func=lambda v: float(np.sqrt(np.sum(v * v))), modulus=linear(3.0), xi=identity())
+
+
+def reference_apply(net, s):
+    """The gain operator node by node: gain each in-value, then aggregate."""
+    out = np.zeros(net.n)
+    for i, nbrs in enumerate(net.graph.in_neighbors):
+        vals = np.asarray([net.edge_gain[(j, i)](float(s[j])) for j in nbrs])
+        out[i] = net.mafs[i].evaluate(vals)
+    return out
+
+
+def random_mixed_network(rng):
+    """Max, sum and custom nodes sharing a few gain objects across edges."""
+    n = int(rng.integers(2, 7))
+    pool = [random_kfun(rng) for _ in range(int(rng.integers(1, 4)))]
+    edges = [(j, i, pool[int(rng.integers(len(pool)))]) for i in range(n) for j in range(n) if i != j and rng.random() < 0.6]
+    return build_network(n, edges, [(MAX, SUM, L2)[int(rng.integers(3))] for _ in range(n)])
+
+
+def ray_table_reference(op, r_grid, n_max):
+    """Ray rows by plain stepping; past 1e30 the last norm fills the row."""
+    rows = []
+    for r in r_grid:
+        s, row = r * np.ones(op.n), [r]
+        for _ in range(n_max):
+            s = op(s)
+            row.append(sup_norm(s))
+            if row[-1] > 1e30:
+                break
+        rows.append(row + [row[-1]] * (n_max + 1 - len(row)))
+    return np.asarray(rows)
+
+
 class TestApply:
+    def test_mixed_aggregation_matches_per_node_reference(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            net = random_mixed_network(rng)
+            kinds = np.asarray([m.kind for m in net.mafs])
+            op = as_operator(net)
+            batch = rng.uniform(0, 3, (net.n, 5))
+            expected = np.stack([reference_apply(net, batch[:, k]) for k in range(5)], axis=1)
+            for got, ref in ((op(batch[:, 0]), expected[:, 0]), (op(batch), expected)):
+                exact = kinds != "sum"
+                np.testing.assert_array_equal(got[exact], ref[exact])
+                np.testing.assert_allclose(got[~exact], ref[~exact], rtol=1e-12, atol=0.0)
+
     def test_plain(self, two_node_half):
         np.testing.assert_array_equal(as_operator(two_node_half)(np.ones(2)), [0.5, 0.5])
 
@@ -176,6 +225,25 @@ class TestStabilityBattery:
     def test_beta_starts_at_r(self, two_node_half):
         rep = stability_battery(two_node_half, r_grid=[0.25, 1.0, 4.0], n_max=10)
         np.testing.assert_array_equal(rep.kl_table[:, 0], [0.25, 1.0, 4.0])
+
+    def test_rows_match_plain_stepping_at_exact_fixed_points(self):
+        # acyclic: T^3 = 0 exactly, so the rays stop early at the zero fixed point
+        net = build_network(4, [(0, 1, linear(0.5)), (1, 2, linear(3.0)), (0, 3, linear(0.2))], SUM)
+        rep = stability_battery(net, r_grid=[0.5, 1.0, 8.0], n_max=12)
+        np.testing.assert_array_equal(rep.kl_table, ray_table_reference(as_operator(net), rep.r_grid, 12))
+        assert rep.gatt_per_r == [True, True, True] and rep.ugas_evidence
+        # unit-gain max ring: every ray is fixed after one step, and its norm fills the row
+        ring = build_network(2, [(0, 1, identity()), (1, 0, identity())], MAX)
+        rep = stability_battery(ring, r_grid=[0.5, 2.0], n_max=12)
+        np.testing.assert_array_equal(rep.kl_table, ray_table_reference(as_operator(ring), rep.r_grid, 12))
+        assert rep.gatt_per_r == [False, False] and rep.ugs_evidence
+
+    def test_rows_match_plain_stepping_past_hopeless_growth(self):
+        net = build_network(2, [(0, 1, linear(1e10)), (1, 0, linear(1e10))], MAX)
+        rep = stability_battery(net, r_grid=[0.5, 1.0, 2.0], n_max=12)
+        np.testing.assert_array_equal(rep.kl_table, ray_table_reference(as_operator(net), rep.r_grid, 12))
+        assert np.all(rep.kl_table[:, -1] > 1e30)
+        assert rep.gatt_per_r == [False, False, False] and not rep.ugs_evidence
 
     def test_table_monotone_iff_rays_decay(self, two_node_half, two_node_double):
         good = stability_battery(two_node_half, r_grid=[1.0], n_max=12)

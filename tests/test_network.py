@@ -9,6 +9,7 @@ from sglab import (
     build_network,
     chain_template,
     finite_xi,
+    gain_from_descriptor,
     graph_diameter,
     identity,
     is_strongly_connected,
@@ -202,4 +203,28 @@ class TestParsing:
     def test_bad_edge_position_reported(self):
         data = {"nodes": 2, "edges": [{"from": 1, "to": 0, "gain": {"type": "nope"}}], "maf": "max"}
         with pytest.raises(NetworkError, match="position 0"):
+            network_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "desc",
+        [
+            {"type": "linear"},
+            {"type": "linear", "k": "steep"},
+            {"type": "power", "c": 1.0},
+            {"type": "power", "c": 1.0, "p": 2.0, "range": [1.0]},
+            {"type": "pl", "points": [0, 1], "final_slope": 1.0},
+            {"type": "pl", "points": [[0, 0], [1, 2]]},
+            {"type": "pl", "points": [[0, 0], [1, 2]], "final_slope": -1.0},
+            {"type": "nope"},
+            None,
+            [1, 2],
+        ],
+    )
+    def test_malformed_descriptor_is_network_error(self, desc):
+        with pytest.raises(NetworkError):
+            gain_from_descriptor(desc)
+
+    def test_bad_template_offset_position_reported(self):
+        data = {"nodes": 3, "template": {"offsets": [{"offset": 1, "gain": {"type": "linear", "k": 0.5}}, {"offset": -1}]}}
+        with pytest.raises(NetworkError, match="position 1"):
             network_from_dict(data)
