@@ -12,6 +12,9 @@ to tolerance.
 
 Every iteration here (trajectories, fixed points, cofinality witnesses
 and the stability battery's rays) goes through the one loop ``_run``.
+Every application goes through ``_base_apply``, which evaluates all max
+and sum edges at once from one knot table per network (the distinct
+gains' knots merged into one grid, with a segment rank per gain).
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ __all__ = [
     "StabilityReport",
     "stability_battery",
 ]
+
+_CHUNK_ELEMENTS = 1 << 14  # edges x columns per pass over the knot table: bounds the temporaries
 
 
 class MonotoneStepError(RuntimeError):
@@ -196,16 +201,26 @@ def as_operator(net_or_op) -> GainOperator:
 
 
 def _base_apply(net: GainNetwork, s: np.ndarray) -> np.ndarray:
-    """Raw gain-operator evaluation: edge groups scatter into max and sum
-    nodes, then each custom node aggregates its gained in-values per column."""
-    out = np.zeros_like(s)
-    for gain, src, dst, agg in net._edge_groups:
-        agg(out, dst, gain(s[src]))
+    """Raw gain-operator evaluation: per chunk of at most ``_CHUNK_ELEMENTS``
+    edge values, one ``searchsorted`` in the knot grid and one rank lookup
+    give every max/sum edge its segment, ``KFun.__call__``'s clamped formula
+    gains them all (bit for bit), and ``np.maximum.at``/``np.add.at`` scatter
+    them in table order; then each custom node aggregates per column."""
+    src, dst, n_max, base, rank, grid, xs, ys, slopes, caps = net._knot_table
+    s2 = s.reshape(len(s), -1)
+    out = np.zeros(s2.shape)
+    width = max(1, _CHUNK_ELEMENTS // max(len(src), 1))
+    for c in range(0, s2.shape[1], width):
+        v = s2[src, c : c + width]
+        k = rank.take(base + grid.searchsorted(v, "right") - 1)
+        gained = np.minimum(ys.take(k) + slopes.take(k) * (v - xs.take(k)), caps.take(k))
+        at = dst * s2.shape[1] + np.arange(c, c + v.shape[1])
+        np.maximum.at(out.reshape(-1), at[:n_max].ravel(), gained[:n_max].ravel())
+        np.add.at(out.reshape(-1), at[n_max:].ravel(), gained[n_max:].ravel())
     for i, srcs, gains, maf in net._custom_in_edges:
-        cols = np.stack([g(s[j]) for g, j in zip(gains, srcs)]).reshape(len(srcs), -1)
-        vals = [maf.evaluate(c) for c in cols.T]
-        out[i] = vals if s.ndim == 2 else vals[0]
-    return out
+        cols = np.stack([g(s2[j]) for g, j in zip(gains, srcs)])
+        out[i] = [maf.evaluate(col) for col in cols.T]
+    return out.reshape(s.shape)
 
 
 # -- iteration ------------------------------------------------------------

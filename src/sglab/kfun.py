@@ -88,13 +88,16 @@ class KFun:
             raise KFunError("final slope must be positive")
         seg = np.diff(ys) / np.diff(xs) if len(xs) > 1 else np.empty(0)
         out_slopes = np.append(seg, fs)
-        xs.flags.writeable = False
-        ys.flags.writeable = False
-        out_slopes.flags.writeable = False
+        # each segment is capped at its right endpoint's value, so rounding can
+        # never produce a local decrease across a breakpoint; the last is uncapped
+        caps = np.append(ys[1:], np.inf)
+        for arr in (xs, ys, out_slopes, caps):
+            arr.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "final_slope", fs)
         object.__setattr__(self, "_out_slopes", out_slopes)
+        object.__setattr__(self, "_caps", caps)
 
     # -- evaluation ----------------------------------------------------
 
@@ -103,15 +106,9 @@ class KFun:
         arr = np.asarray(r, dtype=float)
         if np.any(arr < 0):
             raise ValueError("comparison functions are defined for r >= 0 only")
+        # xs[0] = 0 <= r and NaN sorts last, so idx lies in [0, len(xs) - 1]
         idx = np.searchsorted(self.xs, arr, side="right") - 1
-        idx = np.clip(idx, 0, len(self.xs) - 1)
-        out = self.ys[idx] + self._out_slopes[idx] * (arr - self.xs[idx])
-        if len(self.xs) > 1:
-            # clamp interior segments at their right endpoint so rounding
-            # can never produce a local decrease across a breakpoint
-            interior = idx < len(self.xs) - 1
-            cap = self.ys[np.minimum(idx + 1, len(self.xs) - 1)]
-            out = np.where(interior, np.minimum(out, cap), out)
+        out = np.minimum(self.ys[idx] + self._out_slopes[idx] * (arr - self.xs[idx]), self._caps[idx])
         if np.ndim(r) == 0:
             return float(out)
         return out

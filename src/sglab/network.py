@@ -139,18 +139,25 @@ class GainNetwork:
     ``edges`` keeps file order (the deterministic order used everywhere);
     ``eta`` is the pointwise minimum of all gains (a uniform lower bound
     on every gain) and ``xi`` the aggregation positivity bound (identity
-    for max/sum aggregation).
+    for max/sum aggregation), both computed on first use.
     """
 
     graph: Digraph
     edges: tuple[tuple[int, int, KFun], ...]  # (src, dst, gain)
     mafs: tuple[MafSpec, ...]
-    eta: KFun
-    xi: KFun
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @cached_property
+    def eta(self) -> KFun:
+        gains = [g for _, _, g in self.edges]
+        return pointwise_min(gains) if gains else identity()
+
+    @cached_property
+    def xi(self) -> KFun:
+        return pointwise_min([m.xi if m.kind == "custom" else identity() for m in self.mafs])
 
     @cached_property
     def all_in_nonempty(self) -> bool:
@@ -170,28 +177,27 @@ class GainNetwork:
         return {(j, i): g for j, i, g in self.edges}
 
     @cached_property
-    def _edge_groups(self):
-        """Edges into max and sum nodes, grouped by gain object, then by aggregation.
+    def _knot_table(self):
+        """Edges into max and sum nodes as one knot table for ``dynamics._base_apply``.
 
-        Gains keep the order of their first edge over all edges (custom
-        destinations included), which fixes the summation order.
+        ``(src, dst, n_max, base, rank, grid, xs, ys, slopes, caps)``: ``n_max`` max
+        edges, then the sum edges, each ordered by gain (first edge over all edges),
+        then by file order, which fixes the summation order.  ``xs``, ``ys``, ``slopes``
+        and ``caps`` concatenate the distinct gains' knots, ``grid`` merges them, and
+        ``rank[base + j]`` indexes the edge gain's segment containing ``[grid[j], grid[j + 1])``.
         """
-        aggs = {"max": np.maximum.at, "sum": np.add.at}
-        groups: dict[int, tuple[KFun, dict[str, tuple[list[int], list[int]]]]] = {}
-        for j, i, g in self.edges:
-            if id(g) not in groups:
-                groups[id(g)] = (g, {kind: ([], []) for kind in aggs})
-            by_kind = groups[id(g)][1]
-            if self.mafs[i].kind in by_kind:
-                src, dst = by_kind[self.mafs[i].kind]
-                src.append(j)
-                dst.append(i)
-        return tuple(
-            (g, np.asarray(src, dtype=int), np.asarray(dst, dtype=int), aggs[kind])
-            for g, by_kind in groups.values()
-            for kind, (src, dst) in by_kind.items()
-            if src
+        gains = list({id(g): g for _, _, g in self.edges}.values())
+        gid = {id(g): k for k, g in enumerate(gains)}
+        kinds = {"max": 0, "sum": 1, "custom": 2}
+        edges = sorted((kinds[self.mafs[i].kind], gid[id(g)], e, j, i) for e, (j, i, g) in enumerate(self.edges))
+        kind, ids, _, src, dst = np.asarray([e for e in edges if e[0] < 2], dtype=int).reshape(-1, 5).T
+        xs, ys, slopes, caps = (
+            np.concatenate([np.zeros(0)] + [getattr(g, a) for g in gains]) for a in ("xs", "ys", "_out_slopes", "_caps")
         )
+        grid = np.unique(xs)
+        offsets = np.cumsum([0] + [len(g.xs) for g in gains])
+        rank = np.concatenate([np.zeros(0, int)] + [g.xs.searchsorted(grid, "right") - 1 + o for g, o in zip(gains, offsets)])
+        return src, dst[:, None], int(np.sum(kind == 0)), ids[:, None] * len(grid), rank, grid, xs, ys, slopes, caps
 
     @cached_property
     def _custom_in_edges(self):
@@ -246,6 +252,8 @@ def build_network(
     for j, i, g in edges:
         if not isinstance(g, KFun):
             raise NetworkError("every edge needs a KFun gain")
+        if not 0 <= i < n_nodes:
+            raise NetworkError(f"edge target {i} out of range")
         in_nbrs[i].append(j)
     graph = Digraph(n_nodes, tuple(tuple(nb) for nb in in_nbrs))
     if isinstance(mafs, MafSpec):
@@ -254,11 +262,7 @@ def build_network(
         mafs = tuple(mafs)
         if len(mafs) != n_nodes:
             raise NetworkError("need one MAF per node")
-    gains = [g for _, _, g in edges]
-    eta = pointwise_min(gains) if gains else identity()
-    xis = [m.xi if m.kind == "custom" else identity() for m in mafs]
-    xi = pointwise_min(xis) if xis else identity()
-    net = GainNetwork(graph, tuple((j, i, g) for j, i, g in edges), mafs, eta, xi)
+    net = GainNetwork(graph, tuple((j, i, g) for j, i, g in edges), mafs)
     _validate_custom_mafs(net, validation_seed, validation_samples)
     return net
 
@@ -449,6 +453,13 @@ def _maf_from_descriptor(desc) -> MafSpec:
     raise NetworkError(f"unsupported MAF descriptor {desc!r} (custom MAFs are library-only)")
 
 
+def _json_list(data: dict, key: str) -> list:
+    items = data.get(key, [])
+    if not isinstance(items, list):
+        raise NetworkError(f"{key!r} must be a JSON list, not {type(items).__name__}")
+    return items
+
+
 def network_from_dict(data: dict) -> tuple[GainNetwork, list[str]]:
     """Parse the network file schema.
 
@@ -466,8 +477,11 @@ def network_from_dict(data: dict) -> tuple[GainNetwork, list[str]]:
     if "template" in data:
         if data.get("edges"):
             raise NetworkError("give either 'edges' or 'template', not both")
+        template = data["template"]
+        if not isinstance(template, dict):
+            raise NetworkError(f"'template' must be a JSON object, not {type(template).__name__}")
         offsets = []
-        for k, item in enumerate(data["template"].get("offsets", [])):
+        for k, item in enumerate(_json_list(template, "offsets")):
             try:
                 g, note = gain_from_descriptor(item["gain"])
                 offsets.append((int(item["offset"]), g))
@@ -481,7 +495,7 @@ def network_from_dict(data: dict) -> tuple[GainNetwork, list[str]]:
         return template.instantiate(n), notes
     edges = []
     cache: dict[str, KFun] = {}
-    for k, e in enumerate(data.get("edges", [])):
+    for k, e in enumerate(_json_list(data, "edges")):
         try:
             j, i = int(e["from"]), int(e["to"])
             key = json.dumps(e["gain"], sort_keys=True)

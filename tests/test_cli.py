@@ -98,6 +98,25 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"nodes": 3, "maf": "sum", "template": [1]},
+            {"nodes": 3, "maf": "sum", "template": {"offsets": 5}},
+            {"nodes": 3, "edges": 5},
+            {"nodes": 3, "edges": {"from": 1, "to": 0}},
+            {"nodes": 3, "edges": [{"from": 1, "to": 7, "gain": {"type": "linear", "k": 0.5}}]},
+            {"nodes": 3, "edges": [{"from": 1, "to": -1, "gain": {"type": "linear", "k": 0.5}}]},
+        ],
+        ids=["template-list", "template-offsets-int", "edges-int", "edges-object", "edge-target-7", "edge-target-negative"],
+    )
+    def test_malformed_network(self, data, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["check", str(bad), "--budget", "50"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_rejected(self, files, budget, capsys):
         assert main(["check", files["a"], "--budget", budget]) == 2

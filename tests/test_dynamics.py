@@ -16,9 +16,11 @@ from sglab import (
     linear,
     max_fixed_point,
     min_fixed_point,
+    power_kfun,
     stability_battery,
     sup_norm,
 )
+from sglab.dynamics import _CHUNK_ELEMENTS
 from conftest import contracting_sum_network, random_kfun, random_network
 
 
@@ -40,6 +42,39 @@ def random_mixed_network(rng):
     pool = [random_kfun(rng) for _ in range(int(rng.integers(1, 4)))]
     edges = [(j, i, pool[int(rng.integers(len(pool)))]) for i in range(n) for j in range(n) if i != j and rng.random() < 0.6]
     return build_network(n, edges, [(MAX, SUM, L2)[int(rng.integers(3))] for _ in range(n)])
+
+
+def edge_group_apply(net, s):
+    """The operator as evaluated before the knot table: one KFun call per gain
+    and aggregation kind, gains in the order of their first edge, then the
+    custom nodes one column at a time."""
+    aggs = {"max": np.maximum.at, "sum": np.add.at}
+    groups = {}
+    for j, i, g in net.edges:
+        by_kind = groups.setdefault(id(g), (g, {kind: ([], []) for kind in aggs}))[1]
+        if net.mafs[i].kind in by_kind:
+            by_kind[net.mafs[i].kind][0].append(j)
+            by_kind[net.mafs[i].kind][1].append(i)
+    out = np.zeros_like(s)
+    for g, by_kind in groups.values():
+        for kind, (src, dst) in by_kind.items():
+            if src:
+                aggs[kind](out, np.asarray(dst, dtype=int), g(s[np.asarray(src, dtype=int)]))
+    for i, nbrs in enumerate(net.graph.in_neighbors):
+        if nbrs and net.mafs[i].kind == "custom":
+            cols = np.stack([net.edge_gain[(j, i)](s[j]) for j in nbrs]).reshape(len(nbrs), -1)
+            vals = [net.mafs[i].evaluate(c) for c in cols.T]
+            out[i] = vals if s.ndim == 2 else vals[0]
+    return out
+
+
+def shared_gain_network(rng, n_max=6):
+    """Max, sum and custom nodes; PL, linear and 65-knot power gains shared across edges."""
+    n = int(rng.integers(2, n_max + 1))
+    pool = [random_kfun(rng), linear(float(rng.uniform(0.1, 2))), power_kfun(float(rng.uniform(0.2, 2)), 1.3)[0]]
+    pool = [pool[int(k)] for k in rng.integers(len(pool), size=int(rng.integers(1, 5)))]
+    edges = [(j, i, pool[int(rng.integers(len(pool)))]) for i in range(n) for j in range(n) if i != j and rng.random() < 0.7]
+    return build_network(n, edges, [(MAX, SUM, L2)[int(rng.integers(3))] for _ in range(n)], validation_samples=10)
 
 
 def ray_table_reference(op, r_grid, n_max):
@@ -69,6 +104,40 @@ class TestApply:
                 exact = kinds != "sum"
                 np.testing.assert_array_equal(got[exact], ref[exact])
                 np.testing.assert_allclose(got[~exact], ref[~exact], rtol=1e-12, atol=0.0)
+
+    def test_knot_table_matches_edge_group_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(150):
+            net = shared_gain_network(rng)
+            op = as_operator(net)
+            knots = np.concatenate([g.xs for _, _, g in net.edges] or [np.zeros(1)])
+            vectors = [
+                np.zeros(net.n),
+                rng.uniform(0, 3, net.n),
+                rng.choice(knots, net.n),
+                rng.choice(knots, net.n) * 10 + 1e4,
+                np.full(net.n, 1e12),
+                rng.choice(np.concatenate((knots, rng.uniform(0, 3, 8))), (net.n, 7)),
+            ]
+            for s in vectors:
+                assert op(s).tobytes() == edge_group_apply(net, s).tobytes()
+
+    def test_edgeless_networks_give_zero(self):
+        for mafs in (MAX, SUM, [MAX, L2, SUM]):
+            op = as_operator(build_network(3, [], mafs))
+            assert op(np.ones(3)).tobytes() == np.zeros(3).tobytes()
+            assert op(np.ones((3, 4))).tobytes() == np.zeros((3, 4)).tobytes()
+
+    def test_wide_batch_matches_single_columns(self):
+        rng = np.random.default_rng(23)
+        net = shared_gain_network(rng, n_max=7)
+        while len(net.edges) < 20:
+            net = shared_gain_network(rng, n_max=7)
+        op = as_operator(net)
+        m = 3 * (_CHUNK_ELEMENTS // len(net.edges)) + 7
+        batch = rng.uniform(0, 4, (net.n, m))
+        single = np.stack([op(batch[:, k]) for k in range(m)], axis=1)
+        assert op(batch).tobytes() == single.tobytes()
 
     def test_plain(self, two_node_half):
         np.testing.assert_array_equal(as_operator(two_node_half)(np.ones(2)), [0.5, 0.5])

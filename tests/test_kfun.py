@@ -20,7 +20,32 @@ from sglab import (
 from conftest import random_kfun
 
 
+def clamped_eval_reference(f, r):
+    """KFun evaluation as first written: clip the segment index, cap interior segments through a mask."""
+    arr = np.asarray(r, dtype=float)
+    idx = np.clip(np.searchsorted(f.xs, arr, side="right") - 1, 0, len(f.xs) - 1)
+    out = f.ys[idx] + f._out_slopes[idx] * (arr - f.xs[idx])
+    if len(f.xs) > 1:
+        interior = idx < len(f.xs) - 1
+        out = np.where(interior, np.minimum(out, f.ys[np.minimum(idx + 1, len(f.xs) - 1)]), out)
+    return float(out) if np.ndim(r) == 0 else out
+
+
 class TestEval:
+    def test_capped_formula_matches_reference(self):
+        rng = np.random.default_rng(11)
+        gains = [linear(0.7), KFun([0, 1.5], [0, 0.4], 2.0), power_kfun(0.3, 1.7)[0]]
+        assert [len(f.xs) for f in gains] == [1, 2, 65]
+        gains += [random_kfun(rng, x_scale=s) for s in (1e-6, 1.0, 1e6)]
+        for f in gains:
+            points = np.concatenate(([0.0, 1e12], f.xs, np.nextafter(f.xs, np.inf), rng.uniform(0, 2 * f.xs[-1] + 1, 50)))
+            got, ref = f(points), clamped_eval_reference(f, points)
+            assert got.tobytes() == ref.tobytes()
+            for r in points[::7]:
+                got, ref = f(float(r)), clamped_eval_reference(f, float(r))
+                assert type(got) is float and got == ref
+            assert f(points.reshape(2, -1)).tobytes() == clamped_eval_reference(f, points.reshape(2, -1)).tobytes()
+
     def test_identity(self):
         assert identity()(3.0) == 3.0
 

@@ -16,6 +16,7 @@ from sglab import (
     linear,
     neighborhood,
     network_from_dict,
+    pointwise_min,
     subnetwork,
 )
 from conftest import random_network
@@ -63,6 +64,17 @@ class TestBuild:
             floor = net.eta(r)
             for _, _, g in net.edges:
                 assert np.all(floor <= g(r) + 1e-12)
+
+    def test_eta_is_lazy_pointwise_min_of_all_edge_gains(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            base = random_network(rng)
+            pool = [g for _, _, g in base.edges]
+            net = build_network(base.n, [(j, i, pool[int(rng.integers(len(pool)))]) for j, i, _ in base.edges], base.mafs)
+            assert "eta" not in vars(net) and "xi" not in vars(net)
+            ref = pointwise_min([g for _, _, g in net.edges])
+            assert net.eta.xs.tobytes() == ref.xs.tobytes() and net.eta.ys.tobytes() == ref.ys.tobytes()
+            assert net.eta.final_slope == ref.final_slope
 
 
 class TestNeighborhood:
