@@ -11,7 +11,11 @@ augmented/projected iteration identities hold bit for bit, not just up
 to tolerance.
 
 Every iteration here (trajectories, fixed points, cofinality witnesses
-and the stability battery's rays) goes through the one loop ``_run``.
+and the stability battery's rays) goes through the one driver ``_run``,
+which steps a batch ``(n, m)`` of columns, each with its own stop rule,
+and applies only the columns still running: the battery's ray table and
+augmented rays are one batch each, as are the ray fixed points behind
+``max_mbi_probe`` and ``minimal_path``; a single start is a batch of one.
 Every application goes through ``_base_apply``, which evaluates all max
 and sum edges at once from one knot table per network (the distinct
 gains' knots merged into one grid, with a segment rank per gain).
@@ -84,10 +88,11 @@ class StopRule:
         if self.divergence_bound is not None and self.divergence_bound <= 0:
             raise ValueError("divergence bound must be positive")
 
-    def bound_for(self, s0: np.ndarray) -> float:
+    def bound_for(self, s0: np.ndarray) -> float | np.ndarray:
+        """The bound for a start ``(n,)``, or for each column of ``(n, m)`` starts."""
         if self.divergence_bound is not None:
             return self.divergence_bound
-        return 1e9 * sup_norm(s0) + 1.0
+        return 1e9 * np.abs(s0).max(axis=0) + 1.0
 
 
 @dataclass
@@ -168,7 +173,7 @@ class GainOperator:
         expected = self.n
         if s.shape[0] != expected:
             raise ValueError(f"index set mismatch: operator has {expected} nodes, vector has {s.shape[0]}")
-        if np.any(s < 0):
+        if np.count_nonzero(s < 0):
             raise ValueError("gain operators act on nonnegative vectors")
         return self._eval(len(self.wrappers) - 1, s)
 
@@ -215,8 +220,10 @@ def _base_apply(net: GainNetwork, s: np.ndarray) -> np.ndarray:
         k = rank.take(base + grid.searchsorted(v, "right") - 1)
         gained = np.minimum(ys.take(k) + slopes.take(k) * (v - xs.take(k)), caps.take(k))
         at = dst * s2.shape[1] + np.arange(c, c + v.shape[1])
-        np.maximum.at(out.reshape(-1), at[:n_max].ravel(), gained[:n_max].ravel())
-        np.add.at(out.reshape(-1), at[n_max:].ravel(), gained[n_max:].ravel())
+        if n_max:
+            np.maximum.at(out.reshape(-1), at[:n_max].ravel(), gained[:n_max].ravel())
+        if n_max < len(src):
+            np.add.at(out.reshape(-1), at[n_max:].ravel(), gained[n_max:].ravel())
     for i, srcs, gains, maf in net._custom_in_edges:
         cols = np.stack([g(s2[j]) for g, j in zip(gains, srcs)])
         out[i] = [maf.evaluate(col) for col in cols.T]
@@ -226,36 +233,87 @@ def _base_apply(net: GainNetwork, s: np.ndarray) -> np.ndarray:
 # -- iteration ------------------------------------------------------------
 
 
-def _run(op, s: np.ndarray, max_iter: int, tol: float, bound: float, direction: int = 0, states=None):
-    """The one monotone-iteration loop: ``s <- op(s)`` until a stop rule fires.
+def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norms=None, in_order=False):
+    """The one monotone-iteration driver, over a batch ``(n, m)`` of columns.
 
-    Divergence (sup norm above ``bound``) is tested before convergence
-    (sup-norm step at most ``tol``).  ``direction`` +1 (-1) asserts an
-    increasing (decreasing) trajectory up to ``1e-12`` times the largest
-    norm seen so far.  ``states``, when given, receives every new state.
-    Returns (point, iterations, residual, status); the residual is the
-    last step, or the norm at divergence.
+    Each column steps ``s <- op(s)`` (``s <- floor max op(s)`` when a floor
+    of shape ``(n, m)`` or ``(1, m)`` is given) until its own stop rule
+    fires, and is then frozen; only the active columns are applied.
+    ``tol`` and ``bound`` are scalars or ``(m,)`` arrays.  Divergence (sup norm above
+    ``bound``) is tested before convergence (sup-norm step at most
+    ``tol``).  ``direction`` +1 (-1) asserts an increasing (decreasing)
+    column up to ``1e-12`` times the largest norm it has had; a column
+    failing that stops with a ``MonotoneStepError`` as its status.
+    ``states``, when given, receives every new active batch, and
+    ``norms[k, it]`` the norm of column ``k`` after step ``it``.
+    With ``in_order`` the columns are read as a scan that stops at the
+    first column that does not converge: once a column fails, the columns
+    after it leave the batch, and every column after the first failure
+    gets status ``None``.  Returns per column (point, iterations,
+    residual, status); the residual is the last step, or the norm at
+    divergence.
     """
-    scale = max(1.0, sup_norm(s))
-    step = np.inf
+    m = s.shape[1]
+    point = s.copy()
+    its = np.zeros(m, dtype=int)
+    res = step = np.full(m, np.inf)
+    status: list = [StopReason.MAX_ITER] * m
+    if m == 0:
+        return point, its, res, status
+    act, cur, fl = np.arange(m), s, floor
+    tl, bd = np.zeros(m) + tol, np.zeros(m) + bound
+    scale = np.maximum(1.0, np.abs(s).max(axis=0)) if direction else None
     for it in range(1, max_iter + 1):
-        nxt = op(s)
-        drift = nxt - s
-        if direction > 0 and np.any(drift < -1e-12 * scale):
-            raise MonotoneStepError("projected trajectory failed to increase")
-        if direction < 0 and np.any(drift > 1e-12 * scale):
-            raise MonotoneStepError("projected trajectory failed to decrease")
+        nxt = op(cur)
+        if fl is not None:
+            nxt = np.maximum(fl, nxt)
+        drift = nxt - cur
+        if direction:
+            wrong = (drift < -1e-12 * scale) if direction > 0 else (drift > 1e-12 * scale)
+            failed = np.logical_or.reduce(wrong, axis=0)
+        step = np.maximum.reduce(np.abs(drift), axis=0)
+        norm = np.maximum.reduce(np.abs(nxt), axis=0)
         if states is not None:
             states.append(nxt)
-        step = sup_norm(drift)
-        s = nxt
-        norm = sup_norm(s)
-        scale = max(scale, norm)
-        if norm > bound:
-            return s, it, norm, StopReason.DIVERGED
-        if step <= tol:
-            return s, it, step, StopReason.CONVERGED
-    return s, max_iter, step, StopReason.MAX_ITER
+        if norms is not None:
+            norms[act, it] = norm
+        diverged = norm > bd
+        done = diverged | (step <= tl)
+        if direction:
+            scale = np.maximum(scale, norm)
+            diverged |= failed
+            done |= failed
+        if np.count_nonzero(done):
+            leave = done
+            if in_order and np.count_nonzero(diverged):
+                leave = done.copy()
+                leave[diverged.nonzero()[0][0] + 1 :] = True  # later columns leave the batch
+            for k in leave.nonzero()[0]:
+                c = act[k]
+                point[:, c], its[c], res[c] = nxt[:, k], it, norm[k] if diverged[k] else step[k]
+                if direction and failed[k]:
+                    word = "increase" if direction > 0 else "decrease"
+                    status[c] = MonotoneStepError(f"projected trajectory failed to {word}")
+                elif diverged[k]:
+                    status[c] = StopReason.DIVERGED
+                else:
+                    status[c] = StopReason.CONVERGED if done[k] else None
+            keep = (~leave).nonzero()[0]
+            if not keep.size:
+                break
+            act, nxt, step, tl, bd = act[keep], nxt[:, keep], step[keep], tl[keep], bd[keep]
+            if direction:
+                scale = scale[keep]
+            if fl is not None:
+                fl = fl[:, keep]
+        cur = nxt
+    else:
+        point[:, act], its[act], res[act] = cur, max_iter, step
+    if in_order:
+        first = next((k for k, st in enumerate(status) if st is not StopReason.CONVERGED), m)
+        for k in range(first + 1, m):
+            status[k] = None
+    return point, its, res, status
 
 
 def iterate(op, s0: np.ndarray, stop: StopRule = StopRule()) -> Trajectory:
@@ -265,24 +323,43 @@ def iterate(op, s0: np.ndarray, stop: StopRule = StopRule()) -> Trajectory:
     ``stop.max_iter`` steps, or when the norm passes the divergence bound.
     """
     s = np.asarray(s0, dtype=float).copy()
-    states = [s]
-    _, _, residual, status = _run(as_operator(op), s, stop.max_iter, stop.tol, stop.bound_for(s), states=states)
-    return Trajectory(states, status, residual)
+    steps: list[np.ndarray] = []
+    _, _, res, status = _run(as_operator(op), s[:, None], stop.max_iter, stop.tol, stop.bound_for(s), states=steps)
+    return Trajectory([s] + [x[:, 0] for x in steps], status[0], float(res[0]))
 
 
-def _fixed_point(op: GainOperator, b: np.ndarray, s0: np.ndarray, stop: StopRule, direction: int) -> FixedPointResult:
-    """Iterate ``s <- b max T(s)`` from ``s0``, asserting monotone stepping.
+def _fixed_points(op: GainOperator, b: np.ndarray, s0: np.ndarray, stop: StopRule, direction: int) -> list[FixedPointResult]:
+    """Iterate ``s <- b max T(s)`` from ``s0`` for every column of the
+    ``(n, m)`` floors ``b`` and starts ``s0``, asserting monotone stepping.
 
-    ``direction`` +1 demands an increasing trajectory, -1 a decreasing one.
-    On convergence the residual is the sup-norm defect of the limit.
+    ``direction`` +1 demands increasing columns, -1 decreasing ones.  The
+    columns are scanned in order, as one-at-a-time runs would be: the
+    result lists each column up to the first that does not converge, and
+    raises the ``MonotoneStepError`` of a failed monotone step when the
+    scan reaches it.  On convergence the residual is the sup-norm defect
+    of the limit.
     """
-    proj = op.projected(b)
-    s = np.asarray(s0, dtype=float).copy()
-    tol = stop.tol * max(1.0, sup_norm(b))
-    point, its, res, status = _run(proj, s, stop.max_iter, tol, stop.bound_for(s), direction)
-    if status is StopReason.CONVERGED:
-        res = sup_norm(proj(point) - point)
-    return FixedPointResult(point, its, res, status)
+    tol = stop.tol * np.maximum(1.0, np.abs(b).max(axis=0))
+    point, its, res, status = _run(op, s0, stop.max_iter, tol, stop.bound_for(s0), direction, b, in_order=True)
+    conv = [k for k, st in enumerate(status) if st is StopReason.CONVERGED]
+    if conv:
+        limits = point[:, conv]
+        res[conv] = np.abs(np.maximum(b[:, conv], op(limits)) - limits).max(axis=0)
+    out = []
+    for k, st in enumerate(status):
+        if isinstance(st, MonotoneStepError):
+            raise st
+        out.append(FixedPointResult(point[:, k], int(its[k]), float(res[k]), st))
+        if st is not StopReason.CONVERGED:
+            break
+    return out
+
+
+def _ray_fixed_points(op: GainOperator, r_grid: np.ndarray, stop: StopRule) -> list[FixedPointResult]:
+    """``min_fixed_point`` above the ray ``r * ones`` for each ``r`` of the grid,
+    run as one batch and scanned in grid order (see ``_fixed_points``)."""
+    b = np.ones((op.n, len(r_grid))) * np.asarray(r_grid, dtype=float)
+    return _fixed_points(op, b, b, stop, direction=+1)
 
 
 def min_fixed_point(net_or_op, b: np.ndarray, stop: StopRule = StopRule()) -> FixedPointResult:
@@ -291,8 +368,8 @@ def min_fixed_point(net_or_op, b: np.ndarray, stop: StopRule = StopRule()) -> Fi
     The trajectory is increasing (asserted each step); divergence is
     reported as evidence against bounded invertibility rather than raised.
     """
-    b = np.asarray(b, dtype=float)
-    return _fixed_point(as_operator(net_or_op), b, b, stop, direction=+1)
+    b = np.asarray(b, dtype=float)[:, None]
+    return _fixed_points(as_operator(net_or_op), b, b, stop, direction=+1)[0]
 
 
 def max_fixed_point(
@@ -319,7 +396,7 @@ def max_fixed_point(
         if top.status is not StopReason.CONVERGED:
             return top
         try:
-            res = _fixed_point(op, b, top.point, stop, direction=-1)
+            res = _fixed_points(op, b[:, None], top.point[:, None], stop, direction=-1)[0]
         except MonotoneStepError as exc:
             last_exc = exc
             cap *= 2.0
@@ -367,7 +444,8 @@ def cofinality_witness(net_or_op, s: np.ndarray, stop: StopRule = StopRule()) ->
     """
     s = np.asarray(s, dtype=float).copy()
     tol = stop.tol * max(1.0, sup_norm(s))
-    point, _, _, status = _run(as_operator(net_or_op).augmented(), s, stop.max_iter, tol, stop.bound_for(s))
+    point, _, _, (status,) = _run(as_operator(net_or_op).augmented(), s[:, None], stop.max_iter, tol, stop.bound_for(s))
+    point = point[:, 0]
     if status is StopReason.DIVERGED:
         return CofinalityResult("diverged", None, 0)
     if status is StopReason.CONVERGED:
@@ -438,31 +516,25 @@ def stability_battery(
     r_grid = np.asarray(sorted(float(r) for r in r_grid))
     if len(r_grid) == 0:
         raise ValueError("r_grid must be nonempty")
-    kl = np.zeros((len(r_grid), n_max + 1))
-    gatt, ugs = [], []
-    inconclusive: list[float] = []
-    aug_sup: list[tuple[float, float]] = [(0.0, 0.0)]
+    m = len(r_grid)
     aug_stop = StopRule(min(stop.max_iter, 10 * n_max), stop.tol, stop.divergence_bound)
-    for k, r in enumerate(r_grid):
-        # tol 0 stops only at an exact fixed point (its norm then repeats) and
-        # 1e30 at hopeless growth; either way the last norm fills the row
-        states = [r * ones(op.n)]
-        _run(op, states[0], n_max, 0.0, 1e30, states=states)
-        norms = np.abs(np.stack(states)).max(axis=1)
-        kl[k, : len(norms)] = norms
-        kl[k, len(norms) :] = norms[-1]
-        gatt.append(bool(np.any(kl[k, 1:] <= decay_rtol * max(1.0, r))))
-        # augmented iteration: increasing, so its limit norm is the running sup
-        res = cofinality_witness(op, r * ones(op.n), aug_stop)
-        if res.status == "inconclusive":
-            inconclusive.append(float(r))
-        ugs.append(res.status == "witness")
-        if res.status == "witness":
-            aug_sup.append((float(r), sup_norm(res.point)))
+    rays = np.ones((op.n, m)) * r_grid
+    # tol 0 stops a ray only at an exact fixed point (its norm then repeats) and
+    # 1e30 at hopeless growth; either way its last norm fills the rest of its row
+    kl = np.zeros((m, n_max + 1))
+    kl[:, 0] = r_grid
+    _, its, _, _ = _run(op, rays, n_max, 0.0, 1e30, norms=kl)
+    kl = np.where(np.arange(n_max + 1) <= its[:, None], kl, kl[np.arange(m), its][:, None])
+    gatt = [bool(g) for g in np.any(kl[:, 1:] <= decay_rtol * np.maximum(1.0, r_grid)[:, None], axis=1)]
+    # augmented iteration: increasing, so its limit norm is the running sup
+    tol = stop.tol * np.maximum(1.0, r_grid)
+    point, _, _, status = _run(op.augmented(), rays, aug_stop.max_iter, tol, aug_stop.bound_for(rays))
+    ugs = [st is StopReason.CONVERGED for st in status]
+    inconclusive = [float(r) for r, st in zip(r_grid, status) if st is StopReason.MAX_ITER]
     env = None
     if all(ugs):
-        samples = MonotoneSamples.from_pairs(aug_sup)
-        env = envelope(samples, Side.ABOVE)
+        aug_sup = [(0.0, 0.0)] + [(float(r), sup_norm(point[:, k])) for k, r in enumerate(r_grid)]
+        env = envelope(MonotoneSamples.from_pairs(aug_sup), Side.ABOVE)
     gatt_all = all(gatt)
     ugs_all = all(ugs)
     return StabilityReport(

@@ -470,7 +470,10 @@ def network_from_dict(data: dict) -> tuple[GainNetwork, list[str]]:
     """
     notes: list[str] = []
     try:
-        n = int(data["nodes"])
+        nodes = data["nodes"]
+        if isinstance(nodes, bool) or (isinstance(nodes, float) and not nodes.is_integer()):
+            raise ValueError(f"{nodes!r} is not a whole number")
+        n = int(nodes)
     except (KeyError, TypeError, ValueError) as exc:
         raise NetworkError(f"missing or invalid 'nodes' field: {exc}") from exc
     maf = _maf_from_descriptor(data.get("maf", "max"))

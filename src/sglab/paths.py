@@ -21,9 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from .cone import ones, sup_norm
-from .dynamics import (
+# min_fixed_point stays bound here: perfbench/spans.py traces it under this module's name
+from .dynamics import (  # noqa: F401
     StopReason,
     StopRule,
+    _ray_fixed_points,
     as_operator,
     cofinality_witness,
     iterate,
@@ -162,8 +164,7 @@ def minimal_path(
     if grid[0] <= 0:
         raise ValueError("knots must be positive (the origin knot is implicit)")
     pts = [np.zeros(op.n)]
-    for r in grid:
-        res = min_fixed_point(op, r * ones(op.n), stop)
+    for r, res in zip(grid, _ray_fixed_points(op, grid, stop)):
         if res.status is StopReason.DIVERGED:
             raise PathConstructionError(
                 f"augmented iteration diverged at knot r={r}: bounded invertibility fails there",
@@ -361,17 +362,14 @@ def regularize(
     rho_t = path.rho
     # stage 1: conjugate through the enlargement, then lift strictly
     pull = id_plus(rho_t).inverse()
-    sigma0 = np.vstack([pull(p) for p in path.points])
-    lifted = np.empty_like(sigma0)
-    for k, r in enumerate(path.r_grid):
-        f_r = (1.0 + r / (1.0 + r)) / 4.0
-        lifted[k] = sigma0[k] + f_r * rho_t(sigma0[k])
+    sigma0 = pull(path.points)
+    lifted = sigma0 + ((1.0 + path.r_grid / (1.0 + path.r_grid)) / 4.0)[:, None] * rho_t(sigma0)
     quarter = 0.25 * rho_t
     rho_outer, rho_inner = factor_id_plus(quarter)
     eta_out = sub_from_id(rho_outer)
     phi_min_base = pull.compose(path.phi_min)
     margin_op = op.enlarge_left(rho_inner)
-    # stage 2: spacing-driven knot insertion, validated
+    # stage 2: spacing-driven knot insertion, validated one window at a time
     params: list[float] = [0.0]
     points: list[np.ndarray] = [np.zeros(path.n_nodes)]
     total = len(path.r_grid)
@@ -390,19 +388,20 @@ def regularize(
                 f"refinement needs more than {max_knots} knots in window [{r_lo}, {r_hi}]",
                 knot=float(r_lo),
             )
-        for j in range(1, pieces):
-            t = j / pieces
+        if pieces > 1:
+            t = np.arange(1, pieces) / pieces
             r_mid = r_lo + t * (r_hi - r_lo)
-            p_mid = (1 - t) * p_lo + t * p_hi
-            margin = p_mid - margin_op(p_mid)
-            if np.min(margin) < -check_tol * max(1.0, sup_norm(p_mid)):
+            p_mid = (1 - t)[:, None] * p_lo + t[:, None] * p_hi
+            margin = np.min(p_mid - margin_op(p_mid.T).T, axis=1)
+            bad = np.flatnonzero(margin < -check_tol * np.maximum(1.0, np.abs(p_mid).max(axis=1)))
+            if bad.size:
                 raise PathConstructionError(
-                    f"inserted knot at r={r_mid} violates the surviving margin in window [{r_lo}, {r_hi}];"
+                    f"inserted knot at r={r_mid[bad[0]]} violates the surviving margin in window [{r_lo}, {r_hi}];"
                     " densify the source grid",
-                    knot=float(r_mid),
+                    knot=float(r_mid[bad[0]]),
                 )
-            params.append(float(r_mid))
-            points.append(p_mid)
+            params.extend(float(r) for r in r_mid)
+            points.extend(p_mid)
         params.append(float(r_hi))
         points.append(p_hi)
     rho_out = rho_inner
@@ -491,35 +490,22 @@ def validate(path: DecayPath, net_or_op, margin_tol: float = KNOT_MARGIN_TOL) ->
     op = as_operator(net_or_op)
     if path.rho is not None:
         op = op.enlarge_left(path.rho)
-    worst_margin, worst_knot = np.inf, 0.0
-    decay_ok = True
-    for k, r in enumerate(path.r_grid):
-        p = path.points[k]
-        margin = float(np.min(p - op(p)))
-        if margin < worst_margin:
-            worst_margin, worst_knot = margin, float(r)
-        if margin < -margin_tol * max(1.0, sup_norm(p)):
-            decay_ok = False
-    low = np.inf
-    high = np.inf
-    for k, r in enumerate(path.r_grid):
-        p = path.points[k]
-        low = min(low, float(np.min(p) - path.phi_min(r)))
-        high = min(high, float(path.phi_max(r) - np.max(p)))
-    scale = max(1.0, float(np.max(path.points)))
+    pts, grid = path.points, path.r_grid
+    margins = np.min(pts - op(pts.T).T, axis=1)
+    k = int(np.argmin(margins))
+    worst_margin, worst_knot = float(margins[k]), float(grid[k])
+    decay_ok = not np.any(margins < -margin_tol * np.maximum(1.0, np.abs(pts).max(axis=1)))
+    low = float(np.min(np.min(pts, axis=1) - path.phi_min(grid)))
+    high = float(np.min(path.phi_max(grid) - np.max(pts, axis=1)))
+    scale = max(1.0, float(np.max(pts)))
     bounds_ok = low >= -margin_tol * scale and high >= -margin_tol * scale
-    diffs = np.diff(path.points, axis=0)
-    flat = [int(i) for i in range(path.n_nodes) if np.any(diffs[:, i] <= 0.0)]
+    diffs = np.diff(pts, axis=0)
+    flat = [int(i) for i in np.flatnonzero(np.any(diffs <= 0.0, axis=0))]
     components_ok = not flat
-    windows: list[tuple[float, float, float, float]] = []
-    bil_ok = True
-    for k in range(len(path.r_grid) - 1):
-        lo, hi = float(path.r_grid[k]), float(path.r_grid[k + 1])
-        seg = diffs[k] / (hi - lo)
-        l, L = float(np.min(seg)), float(np.max(seg))
-        windows.append((lo, hi, l, L))
-        if l <= 0.0 or not np.isfinite(L):
-            bil_ok = False
+    seg = diffs / np.diff(grid)[:, None]
+    lows, highs = np.min(seg, axis=1), np.max(seg, axis=1)
+    windows = [(float(lo), float(hi), float(l), float(L)) for lo, hi, l, L in zip(grid[:-1], grid[1:], lows, highs)]
+    bil_ok = not np.any((lows <= 0.0) | ~np.isfinite(highs))
     return PathReport(
         decay_ok=decay_ok,
         worst_margin=worst_margin,

@@ -22,8 +22,9 @@ from typing import Sequence
 import networkx as nx
 import numpy as np
 
-from .cone import ones, sup_norm, unit
-from .dynamics import StopReason, StopRule, as_operator, cofinality_witness, min_fixed_point
+from .cone import ones, sup_norm
+# min_fixed_point stays bound here: perfbench/spans.py traces it under this module's name
+from .dynamics import StopReason, StopRule, _ray_fixed_points, as_operator, cofinality_witness, min_fixed_point  # noqa: F401
 from .kfun import KFun, MonotoneSamples, Side, compose_power, envelope, id_plus, identity
 from .network import GainNetwork, graph_diameter, is_strongly_connected, neighborhood
 
@@ -98,6 +99,15 @@ def _cycles(net: GainNetwork, limit: int):
     return cycles, truncated
 
 
+def _sample_cycles(net: GainNetwork):
+    """The first 64 simple cycles (and the truncated flag) that sample
+    profiles follow, enumerated once per network and kept on it."""
+    memo = net.__dict__
+    if "_sample_cycles" not in memo:
+        memo["_sample_cycles"] = _cycles(net, 64)
+    return memo["_sample_cycles"]
+
+
 def cycle_profile(net: GainNetwork, cycle: Sequence[int], root: float, rho: KFun | None = None) -> np.ndarray:
     """Gain-consistent vector along a cycle: each node carries the chained
     gain of the root value.  Aggregation dominates single in-values, so
@@ -125,39 +135,47 @@ def cone_samples(net: GainNetwork, cfg: SamplerConfig, rho: KFun | None = None, 
     if scale_cap is not None:
         hi = min(hi, scale_cap)
         lo = min(lo, hi / 1024.0)
+    log_lo, log_hi = np.log(lo), np.log(hi)
     levels = np.geomspace(lo, hi, 9)
-    cols: list[np.ndarray] = [min(1.0, hi) * ones(n)]  # the canonical all-ones probe leads
+    s = np.zeros((n, cfg.budget))
+    k = 0  # next column; prefix columns past the budget are dropped
+
+    def put(value, row=slice(None)) -> None:
+        nonlocal k
+        if k < cfg.budget:
+            s[row, k] = value
+        k += 1
+
+    put(min(1.0, hi))  # the canonical all-ones probe leads
     for r in levels:
-        cols.append(r * ones(n))
+        put(r)
+    ends = (levels[0], levels[len(levels) // 2], levels[-1])
     for i in range(min(n, 32)):
-        for r in (levels[0], levels[len(levels) // 2], levels[-1]):
-            cols.append(r * unit(n, i))
-    cycles, _ = _cycles(net, 64)
+        for r in ends:
+            put(r, i)
+    cycles, _ = _sample_cycles(net)
     for cyc in cycles:
-        for r in (levels[0], levels[len(levels) // 2], levels[-1]):
+        for r in ends:
             prof = cycle_profile(net, cyc, r, rho)
             m = sup_norm(prof)
             if m > 0 and scale_cap is not None and m > scale_cap:
                 prof = prof * (scale_cap / m)
-            cols.append(prof)
+            put(prof)
     rng = np.random.default_rng([cfg.seed, 0xC0DE])
-    n_random = max(cfg.budget - len(cols), 0)
-    for k in range(n_random):
-        mode = k % 3
+    for j in range(k, cfg.budget):
+        mode = (j - k) % 3
         if mode == 0:
-            r = np.exp(rng.uniform(np.log(lo), np.log(hi)))
-            cols.append(r * ones(n))
+            s[:, j] = np.exp(rng.uniform(log_lo, log_hi))
         elif mode == 1:
-            r = np.exp(rng.uniform(np.log(lo), np.log(hi)))
-            cols.append(r * unit(n, int(rng.integers(n))))
+            r = np.exp(rng.uniform(log_lo, log_hi))
+            s[int(rng.integers(n)), j] = r
         else:
-            v = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n)) * rng.uniform(0.0, 1.0, size=n)
+            v = np.exp(rng.uniform(log_lo, log_hi, size=n)) * rng.uniform(0.0, 1.0, size=n)
             m = sup_norm(v)
             if m > 0:
-                target = np.exp(rng.uniform(np.log(lo), np.log(hi)))
+                target = np.exp(rng.uniform(log_lo, log_hi))
                 v = v * (target / m)
-            cols.append(v)
-    s = np.stack(cols[: cfg.budget], axis=1)
+            s[:, j] = v
     if scale_cap is not None:
         norms = np.max(s, axis=0)
         over = norms > scale_cap
@@ -283,8 +301,7 @@ def max_mbi_probe(
         r_grid = [2.0**k for k in range(-10, 11)]
     r_grid = sorted(float(r) for r in r_grid)
     pairs = [(0.0, 0.0)]
-    for r in r_grid:
-        res = min_fixed_point(op, r * ones(op.n), stop)
+    for r, res in zip(r_grid, _ray_fixed_points(op, r_grid, stop)):
         if res.status is StopReason.DIVERGED:
             return SgcVerdict(
                 condition="max_mbi",

@@ -1,0 +1,374 @@
+"""The column-batched iteration driver against one-column-at-a-time loops.
+
+Each reference below is a copy of the loop as it ran before the driver
+was batched: ``serial_run`` steps one column, and the battery, ray
+fixed points, ``validate`` and ``regularize`` references walk their rays
+and knots one at a time.  Batched results must match them bit for bit,
+including the first failure a grid scan reports.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import sglab.paths as paths_mod
+import sglab.smallgain as smallgain_mod
+from sglab import (
+    MAX,
+    SUM,
+    DecayPath,
+    KFun,
+    MafSpec,
+    MonotoneSamples,
+    MonotoneStepError,
+    PathConstructionError,
+    Side,
+    StopReason,
+    StopRule,
+    as_operator,
+    build_network,
+    envelope,
+    factor_id_plus,
+    id_plus,
+    identity,
+    linear,
+    max_mbi_probe,
+    minimal_path,
+    regularize,
+    stability_battery,
+    sub_from_id,
+    sup_norm,
+    validate,
+)
+from sglab.dynamics import _fixed_points, _run
+from conftest import random_kfun
+
+L2 = MafSpec("custom", func=lambda v: float(np.sqrt(np.sum(v * v))), modulus=linear(3.0), xi=identity())
+
+
+def serial_run(op, s, max_iter, tol, bound, direction=0, states=None):
+    """One column, stepped until its stop rule fires (the loop before batching)."""
+    scale = max(1.0, sup_norm(s))
+    step = np.inf
+    for it in range(1, max_iter + 1):
+        nxt = op(s)
+        drift = nxt - s
+        if direction > 0 and np.any(drift < -1e-12 * scale):
+            raise MonotoneStepError("projected trajectory failed to increase")
+        if direction < 0 and np.any(drift > 1e-12 * scale):
+            raise MonotoneStepError("projected trajectory failed to decrease")
+        if states is not None:
+            states.append(nxt)
+        step = sup_norm(drift)
+        s = nxt
+        norm = sup_norm(s)
+        scale = max(scale, norm)
+        if norm > bound:
+            return s, it, norm, StopReason.DIVERGED
+        if step <= tol:
+            return s, it, step, StopReason.CONVERGED
+    return s, max_iter, step, StopReason.MAX_ITER
+
+
+def serial_min_fixed_point(op, b, stop):
+    proj = op.projected(b)
+    point, its, res, status = serial_run(proj, b.copy(), stop.max_iter, stop.tol * max(1.0, sup_norm(b)), 1e9 * sup_norm(b) + 1.0, +1)
+    if status is StopReason.CONVERGED:
+        res = sup_norm(proj(point) - point)
+    return point, its, res, status
+
+
+def serial_ray_fixed_points(op, grid, stop):
+    """Lazy, like the loops that called ``min_fixed_point`` ray after ray."""
+    from sglab.dynamics import FixedPointResult
+
+    for r in grid:
+        yield FixedPointResult(*serial_min_fixed_point(op, r * np.ones(op.n), stop))
+
+
+def serial_battery(op, r_grid, n_max, stop, decay_rtol=1e-8):
+    kl = np.zeros((len(r_grid), n_max + 1))
+    gatt, ugs, inconclusive, aug_sup = [], [], [], [(0.0, 0.0)]
+    aug_stop = StopRule(min(stop.max_iter, 10 * n_max), stop.tol, stop.divergence_bound)
+    for k, r in enumerate(r_grid):
+        states = [r * np.ones(op.n)]
+        serial_run(op, states[0], n_max, 0.0, 1e30, states=states)
+        norms = np.abs(np.stack(states)).max(axis=1)
+        kl[k, : len(norms)] = norms
+        kl[k, len(norms) :] = norms[-1]
+        gatt.append(bool(np.any(kl[k, 1:] <= decay_rtol * max(1.0, r))))
+        s = r * np.ones(op.n)
+        point, _, _, status = serial_run(op.augmented(), s, aug_stop.max_iter, stop.tol * max(1.0, r), aug_stop.bound_for(s))
+        if status is StopReason.MAX_ITER:
+            inconclusive.append(float(r))
+        ugs.append(status is StopReason.CONVERGED)
+        if status is StopReason.CONVERGED:
+            aug_sup.append((float(r), sup_norm(point)))
+    env = envelope(MonotoneSamples.from_pairs(aug_sup), Side.ABOVE) if all(ugs) else None
+    return kl, gatt, ugs, inconclusive, env
+
+
+def serial_validate(path, op, margin_tol=1e-9):
+    """``PathReport.to_dict()`` of the knot-by-knot validation."""
+    if path.rho is not None:
+        op = op.enlarge_left(path.rho)
+    worst_margin, worst_knot, decay_ok = np.inf, 0.0, True
+    for k, r in enumerate(path.r_grid):
+        p = path.points[k]
+        margin = float(np.min(p - op(p)))
+        if margin < worst_margin:
+            worst_margin, worst_knot = margin, float(r)
+        if margin < -margin_tol * max(1.0, sup_norm(p)):
+            decay_ok = False
+    low = high = np.inf
+    for k, r in enumerate(path.r_grid):
+        p = path.points[k]
+        low = min(low, float(np.min(p) - path.phi_min(r)))
+        high = min(high, float(path.phi_max(r) - np.max(p)))
+    scale = max(1.0, float(np.max(path.points)))
+    bounds_ok = low >= -margin_tol * scale and high >= -margin_tol * scale
+    diffs = np.diff(path.points, axis=0)
+    flat = [int(i) for i in range(path.n_nodes) if np.any(diffs[:, i] <= 0.0)]
+    windows, bil_ok = [], True
+    for k in range(len(path.r_grid) - 1):
+        lo, hi = float(path.r_grid[k]), float(path.r_grid[k + 1])
+        seg = diffs[k] / (hi - lo)
+        l, L = float(np.min(seg)), float(np.max(seg))
+        windows.append([lo, hi, l, L])
+        if l <= 0.0 or not np.isfinite(L):
+            bil_ok = False
+    return {
+        "decay": {"ok": decay_ok, "worst_margin": worst_margin, "knot": worst_knot},
+        "bounds": {"ok": bounds_ok, "worst_low_slack": low, "worst_high_slack": high},
+        "components": {"ok": not flat, "flat": flat},
+        "bilipschitz": {"ok": bil_ok, "windows": windows},
+        "passed": decay_ok and bounds_ok and not flat and bil_ok,
+    }
+
+
+def serial_regularize(path, op, max_knots=10**6, check_tol=1e-9):
+    """Knot points of the knot-by-knot regularization, or the raised error's (message, knot)."""
+    rho_t = path.rho
+    pull = id_plus(rho_t).inverse()
+    sigma0 = np.vstack([pull(p) for p in path.points])
+    lifted = np.empty_like(sigma0)
+    for k, r in enumerate(path.r_grid):
+        lifted[k] = sigma0[k] + (1.0 + r / (1.0 + r)) / 4.0 * rho_t(sigma0[k])
+    rho_outer, rho_inner = factor_id_plus(0.25 * rho_t)
+    eta_out = sub_from_id(rho_outer)
+    phi_min_base = pull.compose(path.phi_min)
+    margin_op = op.enlarge_left(rho_inner)
+    params, points, total = [0.0], [np.zeros(path.n_nodes)], len(path.r_grid)
+    for k in range(1, len(path.r_grid)):
+        r_lo, r_hi = path.r_grid[k - 1], path.r_grid[k]
+        p_lo, p_hi = lifted[k - 1], lifted[k]
+        pieces = 1
+        if r_lo > 0.0:
+            eps = eta_out(phi_min_base(r_lo))
+            pieces = max(int(math.ceil(sup_norm(p_hi - p_lo) / eps)), 1) if eps > 0 else 1
+        total += max(pieces - 1, 0)
+        if total > max_knots:
+            return f"refinement needs more than {max_knots} knots in window [{r_lo}, {r_hi}]", float(r_lo)
+        for j in range(1, pieces):
+            t = j / pieces
+            r_mid = r_lo + t * (r_hi - r_lo)
+            p_mid = (1 - t) * p_lo + t * p_hi
+            margin = p_mid - margin_op(p_mid)
+            if np.min(margin) < -check_tol * max(1.0, sup_norm(p_mid)):
+                message = (
+                    f"inserted knot at r={r_mid} violates the surviving margin in window [{r_lo}, {r_hi}];"
+                    " densify the source grid"
+                )
+                return message, float(r_mid)
+            params.append(float(r_mid))
+            points.append(p_mid)
+        params.append(float(r_hi))
+        points.append(p_hi)
+    return np.asarray(params), np.vstack(points)
+
+
+def crossing_network(rng, maf):
+    """Gains with slope below one up to a random level and above one after it, so
+    ray iterations converge below a crossing level and diverge above it."""
+    n = int(rng.integers(2, 6))
+    pool = []
+    for _ in range(int(rng.integers(1, 4))):
+        a, low = float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.2, 0.9))
+        pool.append(random_kfun(rng) if rng.random() < 0.3 else KFun([0.0, a], [0.0, low * a], float(rng.uniform(1.2, 3.0))))
+    edges = [(j, i, pool[int(rng.integers(len(pool)))]) for i in range(n) for j in range(n) if i != j and rng.random() < 0.6]
+    if not edges:
+        edges = [(1, 0, pool[0]), (0, 1, pool[0])]
+    mafs = maf if maf != "mixed" else [(MAX, SUM, L2)[int(rng.integers(3))] for _ in range(n)]
+    return build_network(n, edges, mafs, validation_samples=10)
+
+
+NETWORK_KINDS = [MAX, SUM, "mixed"]
+
+
+def random_networks(seed, count):
+    rng = np.random.default_rng(seed)
+    return [crossing_network(rng, NETWORK_KINDS[k % 3]) for k in range(count)]
+
+
+def same(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestDriver:
+    def test_batch_matches_single_columns(self):
+        seen = set()
+        rng = np.random.default_rng(5)
+        for net in random_networks(11, 30):
+            op = as_operator(net)
+            m = 12
+            floor = rng.uniform(0.0, 2.0, size=(net.n, m)) * rng.choice([0.0, 1.0, 3.0], size=m)
+            s = floor + rng.uniform(0.0, 1.0, size=(net.n, m)) * rng.choice([0.0, 0.0, 1.0], size=m)
+            tol = rng.choice([1e-12, 1e-6, 1e-2], size=m)
+            bound = rng.choice([10.0, 1e3, 1e9], size=m)
+            for direction in (0, 1, -1):
+                for use_floor in (False, True):
+                    point, its, res, status = _run(op, s, 40, tol, bound, direction, floor if use_floor else None)
+                    for k in range(m):
+                        one = op.projected(floor[:, k]) if use_floor else op
+                        try:
+                            want = serial_run(one, s[:, k].copy(), 40, tol[k], bound[k], direction)
+                        except MonotoneStepError as exc:
+                            assert isinstance(status[k], MonotoneStepError) and str(status[k]) == str(exc)
+                            seen.add("monotone")
+                            continue
+                        assert same(point[:, k], want[0]) and its[k] == want[1] and same(res[k], want[2])
+                        assert status[k] is want[3]
+                        seen.add(want[3])
+                        # the same column run alone gives the same bits
+                        alone = _run(op, s[:, k : k + 1], 40, tol[k], bound[k], direction, floor[:, k : k + 1] if use_floor else None)
+                        assert same(alone[0][:, 0], want[0]) and alone[1][0] == want[1] and same(alone[2][0], want[2])
+        assert seen == {StopReason.CONVERGED, StopReason.DIVERGED, StopReason.MAX_ITER, "monotone"}
+
+    def test_in_order_stops_at_the_first_failure(self):
+        g = KFun([0.0, 0.2], [0.0, 0.1], 2.0)  # crosses the identity at 0.3
+        op = as_operator(build_network(3, [(0, 1, g), (1, 2, g), (2, 0, g)], MAX))
+        grid = np.asarray([0.1, 0.2, 0.5, 0.25, 1.0])
+        b = np.ones((3, 5)) * grid
+        _, _, _, status = _run(op, b, 1000, 1e-10, 1e9 * grid + 1.0, +1, b, in_order=True)
+        assert status == [StopReason.CONVERGED, StopReason.CONVERGED, StopReason.DIVERGED, None, None]
+
+    def test_states_and_norms(self, two_node_half):
+        op = as_operator(two_node_half)
+        states = []
+        s = np.asarray([[1.0], [2.0]])
+        _run(op, s, 5, 0.0, 1e30, states=states)
+        assert len(states) == 5 and same(states[0], op(s))
+        norms = np.zeros((2, 6))
+        rays = np.ones((2, 2)) * [1.0, 4.0]
+        _run(op, rays, 5, 0.0, 1e30, norms=norms)
+        assert same(norms[:, 1:], np.asarray([[0.5**k for k in range(1, 6)], [4 * 0.5**k for k in range(1, 6)]]))
+
+    def test_empty_batch(self, two_node_half):
+        point, its, res, status = _run(as_operator(two_node_half), np.zeros((2, 0)), 10, 1e-10, 1.0)
+        assert point.shape == (2, 0) and status == []
+
+
+GRIDS = [np.asarray([2.0**k for k in range(-6, 7)]), np.asarray([0.3, 1.7, 5.0])]
+
+
+class TestBatchedCallers:
+    @pytest.mark.parametrize("rho", [None, linear(0.05)])
+    def test_stability_battery(self, rho):
+        outcomes = set()
+        for net in random_networks(21, 24):
+            for grid in GRIDS:
+                rep = stability_battery(net, rho, grid, n_max=48)
+                op = as_operator(net) if rho is None else as_operator(net).enlarge_left(rho)
+                kl, gatt, ugs, inconclusive, env = serial_battery(op, rep.r_grid, 48, StopRule())
+                assert rep.kl_table.tobytes() == kl.tobytes()
+                assert rep.gatt_per_r == gatt and rep.ugs_per_r == ugs and rep.inconclusive_r == inconclusive
+                if env is None:
+                    assert rep.ugs_envelope is None
+                else:
+                    assert same(rep.ugs_envelope.xs, env.xs) and same(rep.ugs_envelope.ys, env.ys)
+                    assert rep.ugs_envelope.final_slope == env.final_slope
+                outcomes.add((all(ugs), any(ugs)))
+        assert outcomes >= {(True, True), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("rho", [None, linear(0.05)])
+    def test_ray_probes_report_the_serial_first_failure(self, rho, monkeypatch):
+        outcomes = set()
+        stop = StopRule(max_iter=25)
+        for net in random_networks(31, 30):
+            for grid in GRIDS:
+                got_mbi = max_mbi_probe(net, rho, grid, stop).to_dict()
+                got_path = _path_outcome(net, rho, grid, stop)
+                with monkeypatch.context() as mp:
+                    mp.setattr(smallgain_mod, "_ray_fixed_points", serial_ray_fixed_points)
+                    mp.setattr(paths_mod, "_ray_fixed_points", serial_ray_fixed_points)
+                    assert got_mbi == max_mbi_probe(net, rho, grid, stop).to_dict()
+                    want_path = _path_outcome(net, rho, grid, stop)
+                if isinstance(want_path, tuple):
+                    assert got_path == want_path
+                else:
+                    assert same(got_path.points, want_path.points) and same(got_path.phi_max.ys, want_path.phi_max.ys)
+                outcomes.add("cap" if (got_mbi["witness"] or {}).get("inconclusive") else got_mbi["status"])
+        assert outcomes == {"evidence", "fail", "cap"}
+
+    def test_monotone_failure_raised_when_the_scan_reaches_it(self):
+        class Bouncing:
+            """Not monotone: doubles values up to 0.6 and drops larger ones to 0."""
+
+            def __call__(self, s):
+                return np.where(s > 0.6, 0.0, 2.0 * s)
+
+        def scan(grid, stop):
+            b = np.ones((2, len(grid))) * grid
+            return _fixed_points(Bouncing(), b, b, stop, +1)
+
+        # 2.0 is fixed at once; 0.4 climbs to 0.8 and falls back to its floor
+        with pytest.raises(MonotoneStepError, match="failed to increase"):
+            scan([2.0, 0.4], StopRule())
+        # 0.5 diverges past 0.9 before 0.4 falls back, so the scan stops there
+        (res,) = scan([0.5, 0.4], StopRule(divergence_bound=0.9))
+        assert res.status is StopReason.DIVERGED and res.iterations == 1
+
+    def test_validate(self):
+        rng = np.random.default_rng(41)
+        verdicts = set()
+        for net in random_networks(41, 30):
+            for rho in (None, linear(0.05)):
+                path = random_path(rng, net.n, rho)
+                got = validate(path, net).to_dict()
+                assert got == serial_validate(path, as_operator(net))
+                verdicts.add(got["decay"]["ok"])
+        assert verdicts == {True, False}
+
+    def test_regularize(self):
+        rng = np.random.default_rng(51)
+        outcomes = set()
+        for net in random_networks(51, 30):
+            path = random_path(rng, net.n, linear(float(rng.uniform(0.05, 0.5))))
+            for max_knots in (10**6, 40):
+                want = serial_regularize(path, as_operator(net), max_knots)
+                try:
+                    got = regularize(path, net, max_knots=max_knots)
+                except PathConstructionError as exc:
+                    assert (str(exc), exc.knot) == want
+                    outcomes.add(str(exc).split()[0])
+                    continue
+                assert same(got.r_grid, want[0]) and same(got.points, want[1])
+                outcomes.add("ok")
+        assert outcomes == {"ok", "inserted", "refinement"}
+
+
+def _path_outcome(net, rho, grid, stop):
+    try:
+        return minimal_path(net, rho, grid, stop)
+    except PathConstructionError as exc:
+        return str(exc), exc.knot
+
+
+def random_path(rng, n, rho):
+    """An increasing random path from the origin, with loose sandwich bounds."""
+    k = int(rng.integers(3, 9))
+    r_grid = np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 2.0, size=k))))
+    steps = rng.uniform(0.0, 1.0, size=(k, n)) * r_grid[1:, None].clip(max=1.0) + 0.01
+    points = np.vstack([np.zeros(n), np.cumsum(steps, axis=0) * rng.uniform(0.3, 1.5)])
+    return DecayPath(r_grid, points, rho, linear(float(rng.uniform(0.01, 0.5))), linear(float(rng.uniform(1.0, 6.0))))

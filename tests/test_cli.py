@@ -107,8 +107,19 @@ class TestCheck:
             {"nodes": 3, "edges": {"from": 1, "to": 0}},
             {"nodes": 3, "edges": [{"from": 1, "to": 7, "gain": {"type": "linear", "k": 0.5}}]},
             {"nodes": 3, "edges": [{"from": 1, "to": -1, "gain": {"type": "linear", "k": 0.5}}]},
+            {"nodes": 2.7, "edges": [{"from": 1, "to": 0, "gain": {"type": "linear", "k": 0.5}}]},
+            {"nodes": True, "edges": []},
         ],
-        ids=["template-list", "template-offsets-int", "edges-int", "edges-object", "edge-target-7", "edge-target-negative"],
+        ids=[
+            "template-list",
+            "template-offsets-int",
+            "edges-int",
+            "edges-object",
+            "edge-target-7",
+            "edge-target-negative",
+            "nodes-fraction",
+            "nodes-bool",
+        ],
     )
     def test_malformed_network(self, data, tmp_path, capsys):
         bad = tmp_path / "bad.json"
