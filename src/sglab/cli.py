@@ -15,10 +15,10 @@ import sys
 import numpy as np
 
 from .certificate import Certificate
-from .cone import ones, sup_norm
+from .cone import sup_norm
 from .dynamics import StopRule, as_operator, iterate, stability_battery
-from .kfun import KFun, linear, power_kfun
-from .network import NetworkError, network_from_dict, network_from_json, subnetwork
+from .kfun import KFun
+from .network import NetworkError, gain_from_descriptor, network_from_dict, network_from_json, subnetwork
 from .paths import (
     PathConstructionError,
     combined_path,
@@ -40,25 +40,16 @@ from .smallgain import (
 )
 
 _FMT = "%.17g"
+_MAX_SAMPLE_CELLS = 1 << 27  # float64 cells of check's sample matrix (1 GiB)
 
 
 class InputError(ValueError):
     pass
 
 
-def _parse_kfun_flag(text: str) -> KFun:
-    """Parse ``linear:K``, ``power:C:P`` or a raw JSON gain descriptor."""
-    if text.startswith("{"):
-        from .network import gain_from_descriptor
-
-        f, _ = gain_from_descriptor(json.loads(text))
-        return f
-    parts = text.split(":")
-    if parts[0] == "linear" and len(parts) == 2:
-        return linear(float(parts[1]))
-    if parts[0] == "power" and len(parts) == 3:
-        return power_kfun(float(parts[1]), float(parts[2]))[0]
-    raise InputError(f"cannot parse comparison function {text!r}")
+def _gain_flag(text: str) -> KFun:
+    """A ``linear:K`` or ``power:C:P`` shorthand or a JSON gain descriptor."""
+    return gain_from_descriptor(json.loads(text) if text.startswith("{") else text)[0]
 
 
 def _parse_grid_flag(text: str) -> np.ndarray:
@@ -71,7 +62,7 @@ def _parse_grid_flag(text: str) -> np.ndarray:
 
 def _parse_start(text: str, n: int) -> np.ndarray:
     if text.startswith("ray:"):
-        return float(text[4:]) * ones(n)
+        return float(text[4:]) * np.ones(n)
     vec = np.asarray(json.loads(text), dtype=float)
     if vec.shape != (n,):
         raise InputError(f"start vector needs {n} entries")
@@ -109,9 +100,11 @@ def _emit(cert: Certificate, out_path: str | None) -> None:
 def cmd_check(args) -> int:
     net, notes, digest = _load(args.network)
     cert = Certificate("check", digest, args.seed, notes=list(notes))
-    rho = _parse_kfun_flag(args.rho) if args.rho else None
+    rho = _gain_flag(args.rho) if args.rho else None
     grid = _parse_grid_flag(args.grid) if args.grid else None
     sampler = SamplerConfig(seed=args.seed, budget=args.budget)
+    if net.n * args.budget > _MAX_SAMPLE_CELLS:
+        raise InputError(f"{net.n} nodes x budget {args.budget} exceeds {_MAX_SAMPLE_CELLS} sample cells; lower --budget")
 
     def run_battery(network):
         verdicts = [nji_probe(network, rho, sampler).to_dict()]
@@ -159,7 +152,7 @@ def cmd_check(args) -> int:
 def cmd_path(args) -> int:
     net, notes, digest = _load(args.network)
     cert = Certificate("path", digest, args.seed, notes=list(notes))
-    rho = _parse_kfun_flag(args.rho) if args.rho else None
+    rho = _gain_flag(args.rho) if args.rho else None
     knots = _parse_grid_flag(args.knots) if args.knots else None
     stop = StopRule()
     try:
@@ -172,7 +165,7 @@ def cmd_path(args) -> int:
                 raise InputError("--method orbit needs --start")
             path = orbit_path(net, _parse_start(args.start, net.n), stop, rho)
         if args.target_rho:
-            path = regularize(path, net, _parse_kfun_flag(args.target_rho))
+            path = regularize(path, net, _gain_flag(args.target_rho))
         if args.min_id:
             path = reparametrize_min_id(path)
     except PathConstructionError as exc:
@@ -215,16 +208,14 @@ def cmd_path(args) -> int:
 
 def cmd_simulate(args) -> int:
     net, _, _ = _load(args.network)
-    op = as_operator(net)
-    if args.variant == "rho":
-        if not args.rho:
-            raise InputError("--variant rho needs --rho")
-        op = op.enlarge_left(_parse_kfun_flag(args.rho))
-    elif args.variant == "hat":
+    if args.variant == "rho" and not args.rho:
+        raise InputError("--variant rho needs --rho")
+    op = as_operator(net, _gain_flag(args.rho) if args.variant == "rho" else None)
+    if args.variant == "hat":
         op = op.augmented()
     elif args.variant.startswith("proj:"):
         op = op.projected(_parse_start(args.variant[5:], net.n))
-    elif args.variant != "base":
+    elif args.variant not in ("base", "rho"):
         raise InputError(f"unknown variant {args.variant!r}")
     s0 = _parse_start(args.start, net.n)
     stop = StopRule(max_iter=max(args.steps, 1))

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cone import ones, sup_norm
+from .cone import sup_norm
 from .kfun import KFun, MonotoneSamples, Side, envelope
 from .network import GainNetwork
 
@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _CHUNK_ELEMENTS = 1 << 14  # edges x columns per pass over the knot table: bounds the temporaries
+_CAP_DOUBLINGS = 8  # max_fixed_point's cap escalations before it gives up
 
 
 class MonotoneStepError(RuntimeError):
@@ -197,12 +198,14 @@ class GainOperator:
         raise AssertionError(f"unknown wrapper {w.kind}")  # pragma: no cover
 
 
-def as_operator(net_or_op) -> GainOperator:
-    if isinstance(net_or_op, GainOperator):
-        return net_or_op
+def as_operator(net_or_op, rho: KFun | None = None) -> GainOperator:
+    """The operator of a network (or the operator itself), enlarged on the
+    left by ``id + rho`` when ``rho`` is given."""
     if isinstance(net_or_op, GainNetwork):
-        return GainOperator(net_or_op)
-    raise TypeError(f"expected GainNetwork or GainOperator, got {type(net_or_op)!r}")
+        net_or_op = GainOperator(net_or_op)
+    elif not isinstance(net_or_op, GainOperator):
+        raise TypeError(f"expected GainNetwork or GainOperator, got {type(net_or_op)!r}")
+    return net_or_op if rho is None else net_or_op.enlarge_left(rho)
 
 
 def _base_apply(net: GainNetwork, s: np.ndarray) -> np.ndarray:
@@ -372,18 +375,12 @@ def min_fixed_point(net_or_op, b: np.ndarray, stop: StopRule = StopRule()) -> Fi
     return _fixed_points(as_operator(net_or_op), b, b, stop, direction=+1)[0]
 
 
-def max_fixed_point(
-    net_or_op,
-    b: np.ndarray,
-    r_cap: float | None = None,
-    stop: StopRule = StopRule(),
-    retries: int = 8,
-) -> FixedPointResult:
+def max_fixed_point(net_or_op, b: np.ndarray, r_cap: float | None = None, stop: StopRule = StopRule()) -> FixedPointResult:
     """Maximal fixed point of ``s -> b max T(s)``.
 
     Starts from the minimal fixed point above the cap ray ``r_cap * ones``
     and descends.  A failed descent assertion means the cap was too small;
-    the cap is doubled up to ``retries`` times before giving up.
+    the cap is doubled up to 8 times before giving up.
     """
     op = as_operator(net_or_op)
     b = np.asarray(b, dtype=float)
@@ -391,8 +388,8 @@ def max_fixed_point(
     if cap < sup_norm(b):
         raise ValueError("r_cap must be at least ||b||")
     last_exc: Exception | None = None
-    for _ in range(retries + 1):
-        top = min_fixed_point(op, cap * ones(op.n), stop)
+    for _ in range(_CAP_DOUBLINGS + 1):
+        top = min_fixed_point(op, cap * np.ones(op.n), stop)
         if top.status is not StopReason.CONVERGED:
             return top
         try:
@@ -405,10 +402,10 @@ def max_fixed_point(
         if lower.status is StopReason.CONVERGED and not np.all(res.point >= lower.point - 1e-8 * max(1.0, sup_norm(res.point))):
             raise FixedPointError("maximal fixed point fell below the minimal one; raise r_cap")
         return res
-    raise FixedPointError(f"descent failed after {retries} cap escalations: {last_exc}")
+    raise FixedPointError(f"descent failed after {_CAP_DOUBLINGS} cap escalations: {last_exc}")
 
 
-def decay_margin(op, s: np.ndarray, check_interval: bool = True) -> np.ndarray:
+def decay_margin(op, s: np.ndarray) -> np.ndarray:
     """Entrywise margin ``s - T(s)``; nonnegative exactly on the decay set.
 
     When the margin is nonnegative, a few interior points of the order
@@ -420,7 +417,7 @@ def decay_margin(op, s: np.ndarray, check_interval: bool = True) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     ts = op(s)
     margin = s - ts
-    if check_interval and np.all(margin >= 0):
+    if np.all(margin >= 0):
         for alpha in (0.25, 0.5, 0.75):
             t = ts + alpha * margin
             if np.any(op(t) > t + 1e-9 * max(1.0, sup_norm(t))):
@@ -499,18 +496,15 @@ def stability_battery(
     r_grid: Sequence[float] | None = None,
     n_max: int = 256,
     stop: StopRule = StopRule(),
-    decay_rtol: float = 1e-8,
 ) -> StabilityReport:
     """Tabulate ray trajectories and classify UGS/GATT/UGAS evidence.
 
     Rays decay (GATT at level r) when the trajectory norm falls below
-    ``decay_rtol * max(1, r)`` within ``n_max`` steps; the augmented
+    ``1e-8 * max(1, r)`` within ``n_max`` steps; the augmented
     iteration must stay bounded for UGS.  Undecided rays (cap hit without
     divergence) are reported as inconclusive, not as failures.
     """
-    op = as_operator(net_or_op)
-    if rho is not None:
-        op = op.enlarge_left(rho)
+    op = as_operator(net_or_op, rho)
     if r_grid is None:
         r_grid = np.asarray([2.0**k for k in range(-8, 9)], dtype=float)
     r_grid = np.asarray(sorted(float(r) for r in r_grid))
@@ -525,7 +519,7 @@ def stability_battery(
     kl[:, 0] = r_grid
     _, its, _, _ = _run(op, rays, n_max, 0.0, 1e30, norms=kl)
     kl = np.where(np.arange(n_max + 1) <= its[:, None], kl, kl[np.arange(m), its][:, None])
-    gatt = [bool(g) for g in np.any(kl[:, 1:] <= decay_rtol * np.maximum(1.0, r_grid)[:, None], axis=1)]
+    gatt = [bool(g) for g in np.any(kl[:, 1:] <= 1e-8 * np.maximum(1.0, r_grid)[:, None], axis=1)]
     # augmented iteration: increasing, so its limit norm is the running sup
     tol = stop.tol * np.maximum(1.0, r_grid)
     point, _, _, status = _run(op.augmented(), rays, aug_stop.max_iter, tol, aug_stop.bound_for(rays))

@@ -150,10 +150,6 @@ class KFun:
         return float(np.max(self._out_slopes))
 
     @property
-    def min_slope(self) -> float:
-        return float(np.min(self._out_slopes))
-
-    @property
     def is_linear(self) -> bool:
         return len(self.xs) == 1 or bool(np.allclose(self._out_slopes, self.final_slope, rtol=0, atol=0))
 
@@ -279,13 +275,13 @@ class MonotoneSamples:
         return cls(arr[:, 0], arr[:, 1])
 
 
-def envelope(samples: MonotoneSamples, side: Side, slope_floor: float = SLOPE_FLOOR) -> KFun:
+def envelope(samples: MonotoneSamples, side: Side) -> KFun:
     """Strictly increasing PL bound through monotone samples.
 
     ``Side.BELOW`` returns a minorant (``f(r_k) <= z_k`` at every sample),
-    ``Side.ABOVE`` a majorant.  Strict increase is enforced with a small
-    positive slope floor; flat data is tilted by at most
-    ``slope_floor * range``.  A below-envelope does not exist when some
+    ``Side.ABOVE`` a majorant.  Strict increase is enforced with the slope
+    floor ``SLOPE_FLOOR`` (1e-9); flat data is tilted by at most
+    ``SLOPE_FLOOR * range``.  A below-envelope does not exist when some
     sampled value vanishes at ``r > 0``.
     """
     rs, zs = samples.rs, samples.zs
@@ -294,16 +290,16 @@ def envelope(samples: MonotoneSamples, side: Side, slope_floor: float = SLOPE_FL
         if np.any(zs[1:] <= 0.0):
             raise KFunError("no class-K-infinity minorant: sampled value is 0 at some r > 0")
         for k in range(len(ys) - 2, 0, -1):
-            cap = ys[k + 1] - slope_floor * (rs[k + 1] - rs[k])
+            cap = ys[k + 1] - SLOPE_FLOOR * (rs[k + 1] - rs[k])
             ys[k] = min(ys[k], cap)
         if ys[1] <= 0.0:
             raise KFunError("no class-K-infinity minorant: slope floor exhausts the data")
     elif side is Side.ABOVE:
         for k in range(1, len(ys)):
-            ys[k] = max(ys[k], ys[k - 1] + slope_floor * (rs[k] - rs[k - 1]))
+            ys[k] = max(ys[k], ys[k - 1] + SLOPE_FLOOR * (rs[k] - rs[k - 1]))
     else:  # pragma: no cover
         raise KFunError(f"unknown side {side!r}")
-    fs = max((ys[-1] - ys[-2]) / (rs[-1] - rs[-2]), slope_floor)
+    fs = max((ys[-1] - ys[-2]) / (rs[-1] - rs[-2]), SLOPE_FLOOR)
     return KFun(rs, ys, fs)
 
 

@@ -19,18 +19,7 @@ from typing import Callable, Sequence
 import networkx as nx
 import numpy as np
 
-from .kfun import (
-    KFun,
-    KFunError,
-    MonotoneSamples,
-    Side,
-    envelope,
-    identity,
-    linear,
-    pointwise_max,
-    pointwise_min,
-    power_kfun,
-)
+from .kfun import KFun, KFunError, identity, linear, pointwise_max, pointwise_min, power_kfun
 
 __all__ = [
     "NetworkError",
@@ -41,7 +30,6 @@ __all__ = [
     "build_network",
     "neighborhood",
     "subnetwork",
-    "finite_xi",
     "is_strongly_connected",
     "graph_diameter",
     "gain_from_descriptor",
@@ -49,6 +37,9 @@ __all__ = [
     "network_from_json",
     "chain_template",
 ]
+
+
+_MAX_NODES = 1 << 20  # network files above this size are refused before anything is allocated
 
 
 class NetworkError(ValueError):
@@ -75,18 +66,6 @@ class Digraph:
                     raise NetworkError(f"self-loop at node {i} is not allowed")
             if len(set(nbrs)) != len(nbrs):
                 raise NetworkError(f"duplicate in-edge at node {i}")
-
-    @cached_property
-    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for i, nbrs in enumerate(self.in_neighbors):
-            for j in nbrs:
-                out[j].append(i)
-        return tuple(tuple(o) for o in out)
-
-    @cached_property
-    def max_in_degree(self) -> int:
-        return max((len(nb) for nb in self.in_neighbors), default=0)
 
     def to_networkx(self) -> nx.DiGraph:
         g = nx.DiGraph()
@@ -158,10 +137,6 @@ class GainNetwork:
     @cached_property
     def xi(self) -> KFun:
         return pointwise_min([m.xi if m.kind == "custom" else identity() for m in self.mafs])
-
-    @cached_property
-    def all_in_nonempty(self) -> bool:
-        return all(len(nb) > 0 for nb in self.graph.in_neighbors)
 
     @cached_property
     def uniform_maf(self) -> str | None:
@@ -239,14 +214,14 @@ def build_network(
     edges: Sequence[tuple[int, int, KFun]],
     mafs: MafSpec | Sequence[MafSpec] = MAX,
     *,
-    validation_seed: int = 0,
     validation_samples: int = 200,
 ) -> GainNetwork:
     """Assemble and validate a gain network.
 
     ``edges`` lists ``(src, dst, gain)`` in file order.  Custom MAFs are
-    sampled for monotonicity and for their declared modulus; a violated
-    sample raises :class:`NetworkError`.
+    sampled (``validation_samples`` seeded draws per node) for monotonicity
+    and for their declared modulus; a violated sample raises
+    :class:`NetworkError`.
     """
     in_nbrs: list[list[int]] = [[] for _ in range(n_nodes)]
     for j, i, g in edges:
@@ -263,15 +238,15 @@ def build_network(
         if len(mafs) != n_nodes:
             raise NetworkError("need one MAF per node")
     net = GainNetwork(graph, tuple((j, i, g) for j, i, g in edges), mafs)
-    _validate_custom_mafs(net, validation_seed, validation_samples)
+    _validate_custom_mafs(net, validation_samples)
     return net
 
 
-def _validate_custom_mafs(net: GainNetwork, seed: int, samples: int) -> None:
+def _validate_custom_mafs(net: GainNetwork, samples: int) -> None:
     custom = [(i, m) for i, m in enumerate(net.mafs) if m.kind == "custom"]
     if not custom:
         return
-    rng = np.random.default_rng([seed, 0x5AF])
+    rng = np.random.default_rng([0, 0x5AF])
     for i, m in custom:
         k = max(len(net.graph.in_neighbors[i]), 1)
         for _ in range(samples):
@@ -292,8 +267,8 @@ def _validate_custom_mafs(net: GainNetwork, seed: int, samples: int) -> None:
                 raise NetworkError(f"custom MAF at node {i} falls below its declared positivity bound")
 
 
-def neighborhood(graph: Digraph, i: int, depth: int, direction: str = "in") -> frozenset[int]:
-    """Nodes reachable within ``depth`` steps (``in``: against edge direction).
+def neighborhood(graph: Digraph, i: int, depth: int) -> frozenset[int]:
+    """Nodes reachable within ``depth`` steps against the edge direction.
 
     Depth zero is just ``{i}``; depth one adds the direct neighbors.
     """
@@ -301,13 +276,12 @@ def neighborhood(graph: Digraph, i: int, depth: int, direction: str = "in") -> f
         raise NetworkError(f"node {i} out of range")
     if depth < 0:
         raise NetworkError("depth must be nonnegative")
-    table = graph.in_neighbors if direction == "in" else graph.out_neighbors
     seen = {i}
     frontier = [i]
     for _ in range(depth):
         nxt = []
         for v in frontier:
-            for w in table[v]:
+            for w in graph.in_neighbors[v]:
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -333,33 +307,6 @@ def subnetwork(net: GainNetwork, nodes) -> GainNetwork:
     edges = [(remap[j], remap[i], g) for j, i, g in net.edges if j in remap and i in remap]
     mafs = tuple(net.mafs[v] for v in nodes)
     return build_network(len(nodes), edges, mafs)
-
-
-def finite_xi(net: GainNetwork, r_grid: np.ndarray | None = None) -> KFun:
-    """Aggregation positivity bound recovered from single-support probes.
-
-    For max/sum aggregation the probe values equal the input level, so the
-    bound is exactly the identity.  Custom rules are sampled on a grid and
-    bounded below by a strictly increasing PL minorant; a vanishing probe
-    at positive level means no such bound exists.
-    """
-    if all(m.kind in ("max", "sum") for m in net.mafs):
-        return identity()
-    if r_grid is None:
-        r_grid = np.concatenate(([0.0], np.geomspace(1e-4, 1e4, 48)))
-    zs = np.zeros(len(r_grid))
-    for k, r in enumerate(r_grid):
-        if r == 0.0:
-            continue
-        vals = []
-        for m in net.mafs:
-            vals.append(m.evaluate(np.asarray([r])))
-        z = min(vals)
-        if z <= 0.0:
-            raise NetworkError(f"aggregation probe vanished at level r={r}: no positivity bound")
-        zs[k] = z
-    samples = MonotoneSamples(r_grid, np.maximum.accumulate(zs))
-    return envelope(samples, Side.BELOW)
 
 
 def is_strongly_connected(graph: Digraph) -> bool:
@@ -418,11 +365,19 @@ def chain_template(gain: KFun, maf: MafSpec = SUM) -> TruncationTemplate:
 # -- parsing --------------------------------------------------------------
 
 
-def gain_from_descriptor(desc: dict) -> tuple[KFun, str | None]:
+def gain_from_descriptor(desc: dict | str) -> tuple[KFun, str | None]:
     """Build a gain from its JSON descriptor; returns (gain, parse note).
 
+    The shorthands ``linear:K`` and ``power:C:P`` stand for
+    ``{"type": "linear", "k": K}`` and ``{"type": "power", "c": C, "p": P}``.
     A malformed descriptor raises :class:`NetworkError`.
     """
+    if isinstance(desc, str):
+        kind, *values = desc.split(":")
+        fields = {"linear": ("k",), "power": ("c", "p")}.get(kind)
+        if fields is None or len(values) != len(fields):
+            raise NetworkError(f"cannot parse comparison function {desc!r}")
+        desc = {"type": kind, **dict(zip(fields, values))}
     if not isinstance(desc, dict):
         raise NetworkError(f"a gain descriptor must be a JSON object, not {desc!r}")
     kind = desc.get("type")
@@ -476,6 +431,8 @@ def network_from_dict(data: dict) -> tuple[GainNetwork, list[str]]:
         n = int(nodes)
     except (KeyError, TypeError, ValueError) as exc:
         raise NetworkError(f"missing or invalid 'nodes' field: {exc}") from exc
+    if n > _MAX_NODES:
+        raise NetworkError(f"'nodes' is {n}, above the limit of {_MAX_NODES} nodes")
     maf = _maf_from_descriptor(data.get("maf", "max"))
     if "template" in data:
         if data.get("edges"):

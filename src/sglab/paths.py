@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cone import ones, sup_norm
+from .cone import sup_norm
 # min_fixed_point stays bound here: perfbench/spans.py traces it under this module's name
 from .dynamics import (  # noqa: F401
     StopReason,
@@ -155,9 +155,7 @@ def minimal_path(
     counter-evidence against bounded invertibility (reported with the
     failing knot).
     """
-    op = as_operator(net_or_op)
-    if rho is not None:
-        op = op.enlarge_left(rho)
+    op = as_operator(net_or_op, rho)
     if r_grid is None:
         r_grid = default_knots()
     grid = np.asarray(sorted(float(r) for r in r_grid))
@@ -199,9 +197,7 @@ def combined_path(
     lower one and consists of decay points throughout.  Interpolants that
     fail strict separation (already converged) are dropped.
     """
-    op = as_operator(net_or_op)
-    if rho is not None:
-        op = op.enlarge_left(rho)
+    op = as_operator(net_or_op, rho)
     if r_knots is None:
         r_knots = default_knots(-10, 10)
     grid = np.asarray(sorted(float(r) for r in r_knots))
@@ -209,7 +205,7 @@ def combined_path(
         raise ValueError("knots must be positive (the origin knot is implicit)")
     main: list[np.ndarray] = []
     for r in grid:
-        res = max_fixed_point(op, r * ones(op.n), stop=stop)
+        res = max_fixed_point(op, r * np.ones(op.n), stop=stop)
         if res.status is not StopReason.CONVERGED:
             raise PathConstructionError(f"maximal fixed point failed at knot r={r}", knot=float(r))
         main.append(res.point)
@@ -220,7 +216,7 @@ def combined_path(
     for k in range(len(grid)):
         if k > 0:
             lo_r, hi_r = grid[k - 1], grid[k]
-            proj = op.projected(lo_r * ones(op.n))
+            proj = op.projected(lo_r * np.ones(op.n))
             traj = [main_arr[k]]
             for _ in range(max(m_interp, 0)):
                 traj.append(proj(traj[-1]))
@@ -259,21 +255,17 @@ def orbit_path(
     s0: np.ndarray,
     stop: StopRule = StopRule(),
     rho: KFun | None = None,
-    k_up: int = 8,
-    collapse_factor: float = 1e-3,
 ) -> DecayPath:
     """Path by linear interpolation along a complete orbit through ``s0``.
 
     The downward leg is the forward orbit (which must converge to the
-    origin); the upward leg extends through decay points found above
-    doubling ray targets.  The orbit must stay coercive: a vanishing
-    component, or a min/max ratio collapsing by more than
-    ``collapse_factor``, rejects the construction with the offending
+    origin); the upward leg extends through decay points found above 8
+    doubling ray targets, up to ``2**8 * ||s0||``.  The orbit must stay
+    coercive: a vanishing component, or a min/max ratio collapsing by a
+    factor of more than 1000, rejects the construction with the offending
     point, since no scalar coercivity bound could cover the full orbit.
     """
-    op = as_operator(net_or_op)
-    if rho is not None:
-        op = op.enlarge_left(rho)
+    op = as_operator(net_or_op, rho)
     s0 = np.asarray(s0, dtype=float)
     if np.any(s0 <= 0):
         raise PathConstructionError("the seed must have strictly positive entries")
@@ -296,14 +288,14 @@ def orbit_path(
                 f"orbit point with a vanishing component at norm {sup_norm(s):.3e}: orbit is not coercive"
             )
         ratios.append(m / sup_norm(s))
-    if ratios[-1] < collapse_factor * ratios[0]:
+    if ratios[-1] < 1e-3 * ratios[0]:
         raise PathConstructionError(
             f"orbit coercivity ratio collapsed from {ratios[0]:.3e} to {ratios[-1]:.3e}: orbit is not coercive"
         )
     ups: list[np.ndarray] = []
     base = sup_norm(s0)
-    for k in range(1, k_up + 1):
-        target = (2.0**k) * base * ones(op.n)
+    for k in range(1, 9):
+        target = (2.0**k) * base * np.ones(op.n)
         res = cofinality_witness(op, target, stop)
         if res.status != "witness":
             raise PathConstructionError(
@@ -336,7 +328,6 @@ def regularize(
     net_or_op,
     target_rho: KFun | None = None,
     max_knots: int = 10**6,
-    check_tol: float = KNOT_MARGIN_TOL,
 ) -> DecayPath:
     """Upgrade a path of decay for an enlarged operator to strict decay.
 
@@ -358,7 +349,6 @@ def regularize(
     """
     if path.rho is None:
         raise PathConstructionError("regularize needs a path with a strict margin to spend")
-    op = as_operator(net_or_op)
     rho_t = path.rho
     # stage 1: conjugate through the enlargement, then lift strictly
     pull = id_plus(rho_t).inverse()
@@ -368,7 +358,7 @@ def regularize(
     rho_outer, rho_inner = factor_id_plus(quarter)
     eta_out = sub_from_id(rho_outer)
     phi_min_base = pull.compose(path.phi_min)
-    margin_op = op.enlarge_left(rho_inner)
+    margin_op = as_operator(net_or_op, rho_inner)
     # stage 2: spacing-driven knot insertion, validated one window at a time
     params: list[float] = [0.0]
     points: list[np.ndarray] = [np.zeros(path.n_nodes)]
@@ -393,7 +383,7 @@ def regularize(
             r_mid = r_lo + t * (r_hi - r_lo)
             p_mid = (1 - t)[:, None] * p_lo + t[:, None] * p_hi
             margin = np.min(p_mid - margin_op(p_mid.T).T, axis=1)
-            bad = np.flatnonzero(margin < -check_tol * np.maximum(1.0, np.abs(p_mid).max(axis=1)))
+            bad = np.flatnonzero(margin < -KNOT_MARGIN_TOL * np.maximum(1.0, np.abs(p_mid).max(axis=1)))
             if bad.size:
                 raise PathConstructionError(
                     f"inserted knot at r={r_mid[bad[0]]} violates the surviving margin in window [{r_lo}, {r_hi}];"
@@ -479,7 +469,7 @@ class PathReport:
         }
 
 
-def validate(path: DecayPath, net_or_op, margin_tol: float = KNOT_MARGIN_TOL) -> PathReport:
+def validate(path: DecayPath, net_or_op) -> PathReport:
     """Check the decay-path properties at every knot.
 
     Knot decay is measured under the path's own margin operator with a
@@ -487,18 +477,16 @@ def validate(path: DecayPath, net_or_op, margin_tol: float = KNOT_MARGIN_TOL) ->
     per-window slope extremes are evaluated exactly.  Failures land in
     the report, never raise.
     """
-    op = as_operator(net_or_op)
-    if path.rho is not None:
-        op = op.enlarge_left(path.rho)
+    op = as_operator(net_or_op, path.rho)
     pts, grid = path.points, path.r_grid
     margins = np.min(pts - op(pts.T).T, axis=1)
     k = int(np.argmin(margins))
     worst_margin, worst_knot = float(margins[k]), float(grid[k])
-    decay_ok = not np.any(margins < -margin_tol * np.maximum(1.0, np.abs(pts).max(axis=1)))
+    decay_ok = not np.any(margins < -KNOT_MARGIN_TOL * np.maximum(1.0, np.abs(pts).max(axis=1)))
     low = float(np.min(np.min(pts, axis=1) - path.phi_min(grid)))
     high = float(np.min(path.phi_max(grid) - np.max(pts, axis=1)))
     scale = max(1.0, float(np.max(pts)))
-    bounds_ok = low >= -margin_tol * scale and high >= -margin_tol * scale
+    bounds_ok = low >= -KNOT_MARGIN_TOL * scale and high >= -KNOT_MARGIN_TOL * scale
     diffs = np.diff(pts, axis=0)
     flat = [int(i) for i in np.flatnonzero(np.any(diffs <= 0.0, axis=0))]
     components_ok = not flat

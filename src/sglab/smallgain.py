@@ -22,7 +22,7 @@ from typing import Sequence
 import networkx as nx
 import numpy as np
 
-from .cone import ones, sup_norm
+from .cone import coercivity_check, sup_norm
 # min_fixed_point stays bound here: perfbench/spans.py traces it under this module's name
 from .dynamics import StopReason, StopRule, _ray_fixed_points, as_operator, cofinality_witness, min_fixed_point  # noqa: F401
 from .kfun import KFun, MonotoneSamples, Side, compose_power, envelope, id_plus, identity
@@ -77,11 +77,15 @@ class SgcVerdict:
         }
 
 
+_CYCLE_BUDGET = 10_000  # simple cycles cycle_gain_check composes before it reports partial coverage
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
+    """Seed and column budget of ``cone_samples``; sampled norms span [1e-3, 8]."""
+
     seed: int = 0
     budget: int = 10_000
-    norm_range: tuple[float, float] = (1e-3, 8.0)
 
     def __post_init__(self):
         if self.budget < 1:
@@ -131,7 +135,7 @@ def cone_samples(net: GainNetwork, cfg: SamplerConfig, rho: KFun | None = None, 
     radius (used by the uniform probe).
     """
     n = net.n
-    lo, hi = cfg.norm_range
+    lo, hi = 1e-3, 8.0
     if scale_cap is not None:
         hi = min(hi, scale_cap)
         lo = min(lo, hi / 1024.0)
@@ -189,9 +193,7 @@ def cone_samples(net: GainNetwork, cfg: SamplerConfig, rho: KFun | None = None, 
 
 def nji_probe(net: GainNetwork, rho: KFun | None = None, sampler: SamplerConfig = SamplerConfig()) -> SgcVerdict:
     """Search for a joint increase: some ``s > 0`` with ``T(s) >= s`` entrywise."""
-    op = as_operator(net)
-    if rho is not None:
-        op = op.enlarge_left(rho)
+    op = as_operator(net, rho)
     s = cone_samples(net, sampler, rho)
     t = op(s)
     nonzero = np.any(s > 0, axis=0)
@@ -213,8 +215,6 @@ def uniform_nji_probe(
     r: float,
     eps: float,
     rho: KFun | None = None,
-    n_max: int | None = None,
-    delta_grid: Sequence[float] | None = None,
     sampler: SamplerConfig = SamplerConfig(),
 ) -> SgcVerdict:
     """Probe the uniform no-joint-increase condition at level ``(r, eps)``.
@@ -222,19 +222,15 @@ def uniform_nji_probe(
     For each sampled ``s`` in the norm-``r`` ball and each node ``i`` with
     ``s_i >= eps``, some node within graph distance ``n`` must carry value
     at least ``delta`` and strictly decay.  The witness is the smallest
-    depth ``n`` admitting a grid ``delta``, with the largest such
-    ``delta``; a sample violating every grid pair is a counterexample.
+    depth ``n <= min(net.n, 8)`` admitting a ``delta`` of the grid
+    ``1, 1/2, ..., 2**-8``, with the largest such ``delta``; a sample
+    violating every pair is a counterexample.
     """
     if not 0 < eps <= r:
         raise ValueError("need 0 < eps <= r")
-    op = as_operator(net)
-    if rho is not None:
-        op = op.enlarge_left(rho)
-    if delta_grid is None:
-        delta_grid = [2.0**-k for k in range(0, 9)]
-    deltas = sorted(set(float(d) for d in delta_grid), reverse=True)
-    if n_max is None:
-        n_max = min(max(net.n, 1), 8)  # depth beyond 8 buys nothing on probe budgets
+    op = as_operator(net, rho)
+    deltas = [2.0**-k for k in range(0, 9)]
+    n_max = min(net.n, 8)  # depth beyond 8 buys nothing on probe budgets
     s = cone_samples(net, sampler, rho, scale_cap=r)
     t = op(s)
     decays = t < s
@@ -242,7 +238,7 @@ def uniform_nji_probe(
     violation = None
     for n in range(1, n_max + 1):
         for i in range(net.n):
-            reach[(i, n)] = np.fromiter(sorted(neighborhood(net.graph, i, n, "in")), dtype=int)
+            reach[(i, n)] = np.fromiter(sorted(neighborhood(net.graph, i, n)), dtype=int)
         for delta in deltas:
             ok = True
             for i in range(net.n):
@@ -294,9 +290,7 @@ def max_mbi_probe(
     otherwise the norms are wrapped in an increasing PL majorant (the
     invertibility bound fit).
     """
-    op = as_operator(net)
-    if rho is not None:
-        op = op.enlarge_left(rho)
+    op = as_operator(net, rho)
     if r_grid is None:
         r_grid = [2.0**k for k in range(-10, 11)]
     r_grid = sorted(float(r) for r in r_grid)
@@ -333,7 +327,6 @@ def cycle_gain_check(
     net: GainNetwork,
     rho: KFun | None = None,
     test_grid: Sequence[float] | None = None,
-    cycle_budget: int = 10_000,
 ) -> SgcVerdict:
     """Decidable small-gain check for max aggregation: every simple cycle's
     chained (enlarged) gain must stay strictly below the identity.
@@ -347,7 +340,7 @@ def cycle_gain_check(
         test_grid = [2.0**k for k in range(-8, 9)]
     grid = np.asarray(sorted(float(g) for g in test_grid))
     r_top = float(grid[-1])
-    cycles, truncated = _cycles(net, cycle_budget)
+    cycles, truncated = _cycles(net, _CYCLE_BUDGET)
     checked = 0
     for cyc in cycles:
         f = identity()
@@ -383,7 +376,7 @@ def cycle_gain_check(
             status="evidence",
             witness={"cycles_checked": checked, "r_max": r_top},
             note="cycle budget exhausted; coverage is partial",
-            budget=cycle_budget,
+            budget=_CYCLE_BUDGET,
         )
     return SgcVerdict(
         condition="cycle_gain",
@@ -407,9 +400,7 @@ def spectral_condition(net: GainNetwork, n_max: int = 64, rho: KFun | None = Non
         raise ValueError("spectral condition requires linear gains")
     if rho is not None and not rho.is_linear:
         raise ValueError("enlargement must be linear to preserve homogeneity")
-    op = as_operator(net)
-    if rho is not None:
-        op = op.enlarge_left(rho)
+    op = as_operator(net, rho)
     rng = np.random.default_rng([seed, 0x5BEC])
     for _ in range(100):
         s = rng.uniform(0.0, 2.0, size=net.n)
@@ -418,7 +409,7 @@ def spectral_condition(net: GainNetwork, n_max: int = 64, rho: KFun | None = Non
         if sup_norm(lhs - rhs) > 1e-10 * max(1.0, sup_norm(rhs)):
             raise ValueError("operator failed the homogeneity check")
     norms = [1.0]
-    t = ones(net.n)
+    t = np.ones(net.n)
     for n in range(1, n_max + 1):
         t = op(t)
         norms.append(sup_norm(t))
@@ -486,19 +477,13 @@ def delta_chain(modulus: KFun, n: int, eps: float) -> ModulusChain:
     return ModulusChain(tuple((eps_l[l], delta_l[l]) for l in range(1, n + 1)))
 
 
-def decayset_coercivity(
-    net: GainNetwork,
-    n_diam: int | None = None,
-    validate: bool = True,
-    seed: int = 0,
-    stop: StopRule = StopRule(),
-) -> KFun:
+def decayset_coercivity(net: GainNetwork, n_diam: int | None = None, stop: StopRule = StopRule()) -> KFun:
     """Coercivity bound for the decay set of a strongly connected network.
 
     Every decay point dominates each of its components through gain
     chains of length at most the diameter, which yields the bound
-    ``(xi o eta)^n``.  Sampled decay points (augmented-iteration limits)
-    are checked against the bound when ``validate`` is set.
+    ``(xi o eta)^n``.  Sampled decay points (augmented-iteration limits
+    above the unit ray and 8 seeded random starts) are checked against it.
     """
     if not is_strongly_connected(net.graph):
         raise ValueError("coercivity of the decay set needs a strongly connected graph")
@@ -508,20 +493,17 @@ def decayset_coercivity(
     if n_diam < diam:
         raise ValueError(f"n_diam={n_diam} is below the graph diameter {diam}")
     phi = compose_power(net.xi.compose(net.eta), n_diam)
-    if validate and net.n > 0:
-        from .cone import coercivity_check
-
-        rng = np.random.default_rng([seed, 0xC0E])
-        points = []
-        starts = [ones(net.n)] + [rng.uniform(0.1, 2.0, size=net.n) for _ in range(8)]
-        for s0 in starts:
-            res = cofinality_witness(net, s0, stop)
-            if res.status == "witness":
-                points.append(res.point)
-        result = coercivity_check(points, phi)
-        if not result.ok:
-            raise RuntimeError(
-                f"sampled decay point violates the coercivity bound (slack {result.slack:.3e}); "
-                "the network data contradicts the strong-connectivity hypotheses"
-            )
+    rng = np.random.default_rng([0, 0xC0E])
+    points = []
+    starts = [np.ones(net.n)] + [rng.uniform(0.1, 2.0, size=net.n) for _ in range(8)]
+    for s0 in starts:
+        res = cofinality_witness(net, s0, stop)
+        if res.status == "witness":
+            points.append(res.point)
+    result = coercivity_check(points, phi)
+    if not result.ok:
+        raise RuntimeError(
+            f"sampled decay point violates the coercivity bound (slack {result.slack:.3e}); "
+            "the network data contradicts the strong-connectivity hypotheses"
+        )
     return phi

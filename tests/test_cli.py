@@ -1,8 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sglab
 from sglab.cli import main
 
 NET_A = {
@@ -165,6 +171,83 @@ class TestCheck:
             cert.pop("timing")
             outs.append(json.dumps(cert, sort_keys=True))
         assert outs[0] == outs[1]
+
+
+def run_limited(args, tmp_path):
+    """Run ``python -m sglab.cli`` under a 1.5 GB address-space limit, so that
+    an input that allocates without bound fails inside the child."""
+    limit = 1536 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(sglab.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "sglab.cli", *args],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=cap_memory,
+        timeout=300,
+    )
+
+
+class TestOversizedInput:
+    def write(self, tmp_path, data):
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(data))
+        return str(p)
+
+    def test_billion_nodes_rejected_before_allocating(self, tmp_path):
+        proc = run_limited(["check", self.write(tmp_path, {"nodes": 1_000_000_000, "edges": []})], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("input error:") and proc.stderr.count("\n") == 1
+
+    def test_sample_matrix_above_a_gibibyte_rejected(self, tmp_path):
+        data = dict(CHAIN, nodes=300_000)
+        proc = run_limited(["check", self.write(tmp_path, data)], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("input error:") and proc.stderr.count("\n") == 1
+        assert "budget" in proc.stderr
+
+    def test_truncation_sweep_size_rejected(self, tmp_path):
+        proc = run_limited(["check", self.write(tmp_path, CHAIN), "--budget", "50", "--N", str(1 << 30)], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("input error:") and proc.stderr.count("\n") == 1
+
+    def test_node_limit(self):
+        from sglab import NetworkError, network_from_dict
+
+        with pytest.raises(NetworkError, match="nodes"):
+            network_from_dict({"nodes": (1 << 20) + 1, "edges": []})
+
+
+class TestGainFlags:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "--rho", "linear:abc"],
+            ["check", "--rho", "power:2"],
+            ["path", "--target-rho", "cubic:1"],
+            ["simulate", "--start", "ray:1", "--variant", "rho", "--rho", "linear:"],
+        ],
+        ids=["linear-abc", "power-one-field", "cubic", "linear-empty"],
+    )
+    def test_malformed_flag(self, files, args, capsys):
+        assert main([args[0], files["a"], *args[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
+    def test_json_descriptor_matches_shorthand(self, files, tmp_path):
+        certs = []
+        for k, rho in enumerate(["power:0.1:2", '{"type": "power", "c": 0.1, "p": 2}']):
+            out = str(tmp_path / f"cert{k}.json")
+            code = main(["check", files["a"], "--rho", rho, "--budget", "200", "--out", out])
+            cert = read_cert(out)
+            cert.pop("timing")
+            certs.append((code, cert))
+        assert certs[0] == certs[1]
 
 
 class TestPath:

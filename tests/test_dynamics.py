@@ -382,7 +382,7 @@ class TestOperatorIdentities:
         rng = np.random.default_rng(59)
         for _ in range(20):
             net = random_network(rng, p_edge=0.8)
-            if not net.all_in_nonempty:
+            if not all(net.graph.in_neighbors):
                 continue
             op = as_operator(net)
             floor = net.xi.compose(net.eta)

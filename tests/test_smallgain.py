@@ -74,7 +74,7 @@ class TestUniformNjiProbe:
         # no in-neighborhood coordinate of i decays at this sample
         op = as_operator(two_node_double)
         t = op(s)
-        js = sorted(neighborhood(two_node_double.graph, i, v.counterexample["n"], "in"))
+        js = sorted(neighborhood(two_node_double.graph, i, v.counterexample["n"]))
         assert not np.any((s[js] >= v.counterexample["delta"]) & (t[js] < s[js]))
 
     def test_agrees_with_nji_on_random_nets(self):
@@ -200,7 +200,7 @@ class TestDeltaChain:
                 for _ in range(n):
                     tn = op(tn)
                 for i in range(net.n):
-                    js = sorted(neighborhood(net.graph, i, n - 1, "in"))
+                    js = sorted(neighborhood(net.graph, i, n - 1))
                     if np.all(t1[js] >= s[js] - delta):
                         checked += 1
                         assert tn[i] >= s[i] - eps - 1e-9
