@@ -220,7 +220,7 @@ def _base_apply(net: GainNetwork, s: np.ndarray) -> np.ndarray:
     width = max(1, _CHUNK_ELEMENTS // max(len(src), 1))
     for c in range(0, s2.shape[1], width):
         v = s2[src, c : c + width]
-        k = rank.take(base + grid.searchsorted(v, "right") - 1)
+        k = rank.take(base + grid.searchsorted(v, "right") - 1).astype(np.intp)  # one cast of the int32 ranks, not one per take
         gained = np.minimum(ys.take(k) + slopes.take(k) * (v - xs.take(k)), caps.take(k))
         at = dst * s2.shape[1] + np.arange(c, c + v.shape[1])
         if n_max:

@@ -171,7 +171,9 @@ class GainNetwork:
         )
         grid = np.unique(xs)
         offsets = np.cumsum([0] + [len(g.xs) for g in gains])
-        rank = np.concatenate([np.zeros(0, int)] + [g.xs.searchsorted(grid, "right") - 1 + o for g, o in zip(gains, offsets)])
+        rank = np.concatenate(  # int32: the table is (distinct gains) x (merged knots)
+            [np.zeros(0, int)] + [g.xs.searchsorted(grid, "right") - 1 + o for g, o in zip(gains, offsets)], dtype=np.int32
+        )
         return src, dst[:, None], int(np.sum(kind == 0)), ids[:, None] * len(grid), rank, grid, xs, ys, slopes, caps
 
     @cached_property

@@ -16,7 +16,7 @@ regardless of seed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import networkx as nx
@@ -66,15 +66,7 @@ class SgcVerdict:
         return self.status == "fail"
 
     def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "status": self.status,
-            "witness": self.witness,
-            "counterexample": self.counterexample,
-            "samples": self.samples,
-            "budget": self.budget,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 _CYCLE_BUDGET = 10_000  # simple cycles cycle_gain_check composes before it reports partial coverage
@@ -128,18 +120,23 @@ def cycle_profile(net: GainNetwork, cycle: Sequence[int], root: float, rho: KFun
     return s
 
 
+_DRAW_CHUNK_ELEMENTS = 1 << 16  # PCG64 words per bulk decode pass of cone_samples: bounds the temporaries
+
+
 def cone_samples(net: GainNetwork, cfg: SamplerConfig, rho: KFun | None = None, scale_cap: float | None = None) -> np.ndarray:
     """Sample matrix (columns are cone vectors), deterministic prefix first.
 
     ``scale_cap`` restricts all columns to the closed norm ball of that
-    radius (used by the uniform probe).
+    radius (used by the uniform probe).  The random columns after the
+    prefix are a compatibility contract: they are the columns
+    ``_draw_group`` draws from ``default_rng([seed, 0xC0DE])``, group
+    after group, decoded in bulk (``_draw_groups``) to the same bits.
     """
     n = net.n
     lo, hi = 1e-3, 8.0
     if scale_cap is not None:
         hi = min(hi, scale_cap)
         lo = min(lo, hi / 1024.0)
-    log_lo, log_hi = np.log(lo), np.log(hi)
     levels = np.geomspace(lo, hi, 9)
     s = np.zeros((n, cfg.budget))
     k = 0  # next column; prefix columns past the budget are dropped
@@ -165,9 +162,22 @@ def cone_samples(net: GainNetwork, cfg: SamplerConfig, rho: KFun | None = None, 
             if m > 0 and scale_cap is not None and m > scale_cap:
                 prof = prof * (scale_cap / m)
             put(prof)
-    rng = np.random.default_rng([cfg.seed, 0xC0DE])
-    for j in range(k, cfg.budget):
-        mode = (j - k) % 3
+    if k < cfg.budget:
+        _draw_groups(np.random.default_rng([cfg.seed, 0xC0DE]), s, k, np.log(lo), np.log(hi))
+    if scale_cap is not None:
+        norms = np.max(s, axis=0)
+        over = norms > scale_cap
+        if np.any(over):
+            s[:, over] *= scale_cap / norms[over]
+    return s
+
+
+def _draw_group(rng: np.random.Generator, s: np.ndarray, j0: int, log_lo: float, log_hi: float) -> None:
+    """Columns ``j0, j0 + 1, j0 + 2`` (those inside ``s``), one ``rng`` call at a time: a ray,
+    a unit bump at a random row, and a random vector rescaled to a random norm (no norm draw for 0)."""
+    n = s.shape[0]
+    for j in range(j0, min(j0 + 3, s.shape[1])):
+        mode = j - j0
         if mode == 0:
             s[:, j] = np.exp(rng.uniform(log_lo, log_hi))
         elif mode == 1:
@@ -180,12 +190,64 @@ def cone_samples(net: GainNetwork, cfg: SamplerConfig, rho: KFun | None = None, 
                 target = np.exp(rng.uniform(log_lo, log_hi))
                 v = v * (target / m)
             s[:, j] = v
-    if scale_cap is not None:
-        norms = np.max(s, axis=0)
-        over = norms > scale_cap
-        if np.any(over):
-            s[:, over] *= scale_cap / norms[over]
-    return s
+
+
+def _lemire(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``integers(n)`` on 32-bit halves ``x`` (Lemire): the values, and the halves it rejects."""
+    scaled = x * np.uint64(n)
+    return scaled >> np.uint64(32), (scaled & np.uint64(0xFFFFFFFF)) < (1 << 32) % n
+
+
+def _rare_groups(rejected: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Groups off the common word layout: a rejected half draws another, a zero norm no target."""
+    return rejected | ~(norms > 0)
+
+
+def _draw_groups(rng: np.random.Generator, s: np.ndarray, k: int, log_lo: float, log_hi: float) -> None:
+    """Columns ``k:`` of ``s`` as ``_draw_group`` fills them, decoded from the PCG64 words.
+
+    A double is ``(w >> 11) * 2**-53`` of a word ``w``.  ``integers(n)`` takes a
+    fresh word's low half and buffers its high half for the next draw (no draw
+    when ``n == 1``).  So a group is a word, a word and a half-word draw, and
+    ``2n + 1`` words.  A rare group is rewound to and drawn by ``_draw_group``.
+    """
+    bg = rng.bit_generator
+    n = s.shape[0]
+    span = log_hi - log_lo
+    groups = (s.shape[1] - k) // 3  # a trailing part-group is drawn call by call
+    g = 0
+    while g < groups:
+        state = bg.state
+        m = min(max(1, _DRAW_CHUNK_ELEMENTS // (2 * n + 4)), groups - g)
+        fresh = (np.arange(m + 1) + state["has_uint32"]) % 2 == 0 if n > 1 else np.zeros(m + 1, bool)
+        starts = np.concatenate(([0], np.cumsum(2 * n + 3 + fresh[:m])))
+        words = bg.random_raw(int(starts[-1]) + 3)  # the slack holds the half word after the chunk
+        doubles = (words >> np.uint64(11)) * 2.0**-53
+        halves = words[np.where(fresh, starts + 2, np.roll(starts + 2, 1))]
+        x = np.where(fresh, halves & np.uint64(0xFFFFFFFF), halves >> np.uint64(32))
+        if state["has_uint32"]:
+            x[0] = state["uinteger"]
+        rows, rejected = _lemire(x[:m], n)
+        d = doubles[(starts[:m] + 2 + fresh[:m])[:, None] + np.arange(2 * n + 1)]
+        v = np.exp(log_lo + span * d[:, :n]) * d[:, n : 2 * n]
+        norms = v.max(axis=1)
+        rare = np.flatnonzero(_rare_groups(rejected, norms))
+        cut = int(rare[0]) if rare.size else m
+        j0 = k + 3 * g
+        s[:, j0 : j0 + 3 * cut : 3] = np.exp(log_lo + span * doubles[starts[:cut]])
+        s[rows[:cut].astype(np.intp), np.arange(j0 + 1, j0 + 3 * cut, 3)] = np.exp(log_lo + span * doubles[starts[:cut] + 1])
+        targets = np.exp(log_lo + span * d[:cut, 2 * n])
+        s[:, j0 + 2 : j0 + 3 * cut : 3] = (v[:cut] * (targets / norms[:cut])[:, None]).T
+        # the generator goes just after group g + cut, with the half word the next draw would take
+        bg.state = state
+        bg.advance(int(starts[cut]))
+        bg.state = {**bg.state, "has_uint32": int(n > 1 and not fresh[cut]), "uinteger": int(x[cut])}
+        g += cut
+        if cut < m:
+            _draw_group(rng, s, k + 3 * g, log_lo, log_hi)
+            g += 1
+    if (s.shape[1] - k) % 3:
+        _draw_group(rng, s, k + 3 * groups, log_lo, log_hi)
 
 
 # -- probes ----------------------------------------------------------------

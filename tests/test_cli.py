@@ -362,3 +362,28 @@ class TestSimulate:
         main(["simulate", files["a"], "--start", "ray:1", "--steps", "0", "--out", out])
         lines = open(out).read().strip().splitlines()
         assert len(lines) == 2 and lines[1].startswith("0,1,1")
+
+
+class TestEmptyGrid:
+    """``geometric:kmin:kmax`` with kmin > kmax names no grid at all."""
+
+    @pytest.mark.parametrize("args", [["path", "--knots", "geometric:3:-3"], ["check", "--grid", "geometric:3:-3"]], ids=["path", "check"])
+    def test_reversed_bounds_rejected(self, files, tmp_path, args, capsys):
+        code = main([args[0], files["a"], *args[1:], "--out", str(tmp_path / "cert.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error:") and "geometric:3:-3" in err and err.count("\n") == 1
+        assert not (tmp_path / "cert.json").exists()
+
+    def test_single_point_grid_still_accepted(self, files, tmp_path):
+        assert main(["path", files["a"], "--knots", "geometric:0:0", "--out", str(tmp_path / "cert.json")]) in (0, 1)
+
+
+class TestSimulateSteps:
+    def test_negative_steps_rejected(self, files, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        code = main(["simulate", files["a"], "--start", "ray:1", "--steps", "-3", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error:") and "--steps" in err and err.count("\n") == 1
+        assert not out.exists()
