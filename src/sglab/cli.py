@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from .certificate import Certificate
-from .cone import sup_norm
 from .dynamics import StopRule, as_operator, iterate, stability_battery
 from .kfun import KFun
 from .network import NetworkError, gain_from_descriptor, network_from_dict, network_from_json, subnetwork
@@ -40,6 +39,7 @@ from .smallgain import (
 )
 
 _FMT = "%.17g"
+_CSV_CHUNK_CELLS = 1 << 12  # cells formatted by one % operation
 _MAX_SAMPLE_CELLS = 1 << 27  # float64 cells of check's sample matrix (1 GiB)
 
 
@@ -61,19 +61,30 @@ def _parse_grid_flag(text: str) -> np.ndarray:
 
 
 def _parse_start(text: str, n: int) -> np.ndarray:
+    """``ray:R`` or a JSON vector of ``n`` finite, nonnegative entries."""
     if text.startswith("ray:"):
-        return float(text[4:]) * np.ones(n)
-    vec = np.asarray(json.loads(text), dtype=float)
-    if vec.shape != (n,):
-        raise InputError(f"start vector needs {n} entries")
+        vec = float(text[4:]) * np.ones(n)
+    else:
+        vec = np.asarray(json.loads(text), dtype=float)
+        if vec.shape != (n,):
+            raise InputError(f"start vector needs {n} entries")
+    if not np.all(np.isfinite(vec) & (vec >= 0)):
+        raise InputError(f"start vector {text!r} must have finite, nonnegative entries")
     return vec
 
 
-def _write_csv(rows, header: list[str], out):
+def _write_csv(header: list[str], out, n_rows: int, rows) -> None:
+    """Write ``header`` and the ``n_rows`` rows of a float table, ``rows(lo, hi)``
+    giving rows ``lo:hi`` as a 2-D array, with one ``%`` format per chunk of
+    at most ``_CSV_CHUNK_CELLS`` cells.  Every cell is printed as ``%.17g``,
+    which prints a whole number below 10**17, such as a step count, as
+    ``str`` prints the int."""
     out.write(",".join(header) + "\n")
-    for row in rows:
-        cells = [str(c) if isinstance(c, (int, str)) else _FMT % c for c in row]
-        out.write(",".join(cells) + "\n")
+    line = ",".join([_FMT] * len(header)) + "\n"
+    chunk = max(1, _CSV_CHUNK_CELLS // len(header))
+    for lo in range(0, n_rows, chunk):
+        block = rows(lo, min(lo + chunk, n_rows))
+        out.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _load(path: str):
@@ -191,9 +202,10 @@ def cmd_path(args) -> int:
         with open(args.path_out + ".csv", "w") as fh:
             header = ["r"] + [f"x{i}" for i in range(path.n_nodes)]
             _write_csv(
-                ([r] + list(p) for r, p in zip(path.r_grid, path.points)),
                 header,
                 fh,
+                len(path.r_grid),
+                lambda lo, hi: np.column_stack((path.r_grid[lo:hi], path.points[lo:hi])),
             )
     _emit(cert, args.out)
     return 1 if cert.has_fail else 0
@@ -221,13 +233,16 @@ def cmd_simulate(args) -> int:
         traj = iterate(op, s0, stop)
         states = traj.states[: args.steps + 1]
         reason = traj.stop_reason.value
-    rows = ([k] + list(s) + [sup_norm(s)] for k, s in enumerate(states))
+    def rows(lo: int, hi: int) -> np.ndarray:
+        block = np.array(states[lo:hi])  # the sup norm of a row is its largest |x_i|, 0.0 for no nodes
+        return np.column_stack((np.arange(lo, hi), block, np.abs(block).max(axis=1, initial=0.0)))
+
     header = ["step"] + [f"x{i}" for i in range(net.n)] + ["norm"]
     if args.out:
         with open(args.out, "w") as fh:
-            _write_csv(rows, header, fh)
+            _write_csv(header, fh, len(states), rows)
     else:
-        _write_csv(rows, header, sys.stdout)
+        _write_csv(header, sys.stdout, len(states), rows)
     print(f"stop reason: {reason}", file=sys.stderr)
     return 0
 

@@ -477,12 +477,12 @@ class StabilityReport:
 
     def to_dict(self) -> dict:
         return {
-            "r_grid": [float(r) for r in self.r_grid],
+            "r_grid": self.r_grid.tolist(),
             "n_max": self.n_max,
-            "kl_table": [[float(v) for v in row] for row in self.kl_table],
+            "kl_table": self.kl_table.tolist(),
             "gatt_per_r": list(self.gatt_per_r),
             "ugs_per_r": list(self.ugs_per_r),
-            "inconclusive_r": [float(r) for r in self.inconclusive_r],
+            "inconclusive_r": list(self.inconclusive_r),
             "gatt_evidence": self.gatt_evidence,
             "ugs_evidence": self.ugs_evidence,
             "ugas_evidence": self.ugas_evidence,

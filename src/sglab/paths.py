@@ -89,8 +89,10 @@ class DecayPath:
         p = np.asarray(self.points, dtype=float)
         if r.ndim != 1 or p.ndim != 2 or p.shape[0] != len(r):
             raise ValueError("need matching knot grid (K,) and points (K, n)")
-        if len(r) < 2 or r[0] != 0.0 or np.any(np.diff(r) <= 0):
-            raise ValueError("knot grid must start at 0 and be strictly increasing")
+        if len(r) < 2 or r[0] != 0.0 or not np.all(np.isfinite(r)) or not np.all(np.diff(r) > 0):
+            raise ValueError("knot grid must be finite, start at 0 and be strictly increasing")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("knot points must be finite")
         if np.any(p[0] != 0.0):
             raise ValueError("the path must start at the origin")
         if np.any(np.diff(p, axis=0) < -1e-9 * max(1.0, np.max(np.abs(p)))):

@@ -250,6 +250,34 @@ class TestGainFlags:
         assert certs[0] == certs[1]
 
 
+class TestStartVectors:
+    """A start vector must be a finite cone vector, whichever flag gives it."""
+
+    BAD = ["ray:nan", "ray:inf", "ray:-1", "[1e400, 1]", "[0.5, -0.5]", "[1, NaN]"]
+
+    @pytest.mark.parametrize("start", BAD)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["path", "--method", "orbit", "--start", "{}"],
+            ["simulate", "--start", "{}"],
+            ["simulate", "--start", "ray:1", "--variant", "proj:{}"],
+        ],
+        ids=["orbit", "simulate", "proj"],
+    )
+    def test_rejected(self, files, tmp_path, argv, start, capsys, recwarn):
+        out = tmp_path / "out"
+        assert main([argv[0], files["a"], *(a.format(start) for a in argv[1:]), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("start", ["ray:0", "ray:2.5", "[0, 3]"])
+    def test_finite_cone_vectors_accepted(self, files, tmp_path, start):
+        assert main(["simulate", files["a"], "--start", start, "--steps", "3", "--out", str(tmp_path / "s.csv")]) == 0
+
+
 class TestPath:
     def test_minimal_path_ok(self, files, tmp_path):
         out = str(tmp_path / "cert.json")

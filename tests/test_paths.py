@@ -178,6 +178,26 @@ class TestReparametrize:
         assert after.worst_margin == pytest.approx(before.worst_margin, abs=1e-12)
 
 
+class TestDecayPathInvariants:
+    PTS = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+
+    @pytest.mark.parametrize(
+        "r",
+        [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [0.0, 1.0, np.nan], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0]],
+        ids=["nan-knot", "inf-last-knot", "nan-last-knot", "decreasing", "repeated"],
+    )
+    def test_knot_grid_must_be_finite_and_strictly_increasing(self, r):
+        with pytest.raises(ValueError, match="knot grid"):
+            DecayPath(np.array(r), self.PTS, None, linear(0.5), linear(2.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_points_must_be_finite(self, bad):
+        pts = self.PTS.copy()
+        pts[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DecayPath(np.array([0.0, 1.0, 2.0]), pts, None, linear(0.5), linear(2.0))
+
+
 class TestValidate:
     def test_flat_segment_flags_strictness(self, two_node_half):
         r = np.array([0.0, 1.0, 2.0])
