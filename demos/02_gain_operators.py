@@ -47,7 +47,7 @@ print("maximal fixed point above (1,1):", hi.point, " (unique here)")
 
 print("\n== decay point above an arbitrary vector ==")
 cw = cofinality_witness(net, np.array([4.0, 0.0]), StopRule())
-print("witness:", cw.point, "status:", cw.status)
+print("witness:", cw.point, "status:", cw.status.value)
 
 print("\n== stability evidence on rays ==")
 rep = stability_battery(net, r_grid=[0.5, 1.0, 2.0], n_max=40)

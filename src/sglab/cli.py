@@ -123,7 +123,7 @@ def cmd_check(args) -> int:
     if net.uniform_maf == "max":
         cert.verdicts.append(cycle_gain_check(net, rho, grid).to_dict())
     if net.all_gains_linear and net.uniform_maf in ("max", "sum") and (rho is None or rho.is_linear):
-        cert.verdicts.append(spectral_condition(net, rho=rho, seed=args.seed).to_dict())
+        cert.verdicts.append(spectral_condition(net, rho=rho).to_dict())
     report = stability_battery(net, rho, grid)
     cert.stability = report.to_dict()
     if not report.ugas_evidence and report.inconclusive_r:

@@ -8,10 +8,15 @@ accepts a single cone vector ``(n,)`` or a batch ``(n, m)`` of columns.
 Evaluation is exactly monotone in floating point (inherited from the
 clamped PL gain evaluation plus max/sum aggregation), which makes the
 augmented/projected iteration identities hold bit for bit, not just up
-to tolerance.
+to tolerance.  In particular the augmented run ``t <- t max T(t)`` from
+``s`` and the run ``t <- s max T(t)`` projected above ``s`` take the same
+steps: both increase, and ``t_k max T(t_k) = s max T(t_{k-1}) max T(t_k)
+= s max T(t_k)``.  So the decay point that the augmented run finds above
+``s`` is the least fixed point above ``s``, and ``cofinality_witness`` is
+``min_fixed_point``.
 
-Every iteration here (trajectories, fixed points, cofinality witnesses
-and the stability battery's rays) goes through the one driver ``_run``,
+Every iteration here (trajectories, fixed points and the stability
+battery's rays) goes through the one driver ``_run``,
 which steps a batch ``(n, m)`` of columns, each with its own stop rule,
 and applies only the columns still running: the battery's ray table and
 augmented rays are one batch each, as are the ray fixed points behind
@@ -47,7 +52,6 @@ __all__ = [
     "max_fixed_point",
     "decay_margin",
     "cofinality_witness",
-    "CofinalityResult",
     "StabilityReport",
     "stability_battery",
 ]
@@ -156,7 +160,7 @@ class GainOperator:
         floor = np.asarray(floor, dtype=float)
         if floor.shape != (self.n,):
             raise ValueError("projection floor must live on the operator's index set")
-        if np.any(floor < 0):
+        if not np.all(floor >= 0):
             raise ValueError("projection floor must be nonnegative")
         return GainOperator(self.network, self.wrappers + (_Wrapper("project", floor=floor),))
 
@@ -174,7 +178,7 @@ class GainOperator:
         expected = self.n
         if s.shape[0] != expected:
             raise ValueError(f"index set mismatch: operator has {expected} nodes, vector has {s.shape[0]}")
-        if np.count_nonzero(s < 0):
+        if np.count_nonzero(s >= 0) != s.size:  # NaN fails this test too
             raise ValueError("gain operators act on nonnegative vectors")
         return self._eval(len(self.wrappers) - 1, s)
 
@@ -425,29 +429,10 @@ def decay_margin(op, s: np.ndarray) -> np.ndarray:
     return margin
 
 
-@dataclass
-class CofinalityResult:
-    status: str  # "witness" | "diverged" | "inconclusive"
-    point: np.ndarray | None
-    n: int
-
-
-def cofinality_witness(net_or_op, s: np.ndarray, stop: StopRule = StopRule()) -> CofinalityResult:
-    """Search a decay point above ``s`` by running the augmented iteration.
-
-    Convergence yields a witness with one decay step; divergence is
-    evidence against the cofinality of the decay set; hitting the
-    iteration cap is reported as inconclusive.
-    """
-    s = np.asarray(s, dtype=float).copy()
-    tol = stop.tol * max(1.0, sup_norm(s))
-    point, _, _, (status,) = _run(as_operator(net_or_op).augmented(), s[:, None], stop.max_iter, tol, stop.bound_for(s))
-    point = point[:, 0]
-    if status is StopReason.DIVERGED:
-        return CofinalityResult("diverged", None, 0)
-    if status is StopReason.CONVERGED:
-        return CofinalityResult("witness", point, 1)
-    return CofinalityResult("inconclusive", point, 0)
+# A decay point above ``s``: the augmented run from ``s`` is the run projected
+# above ``s`` (see the module docstring).  CONVERGED gives the witness, DIVERGED
+# is evidence against the cofinality of the decay set, MAX_ITER is inconclusive.
+cofinality_witness = min_fixed_point
 
 
 # -- stability battery -----------------------------------------------------

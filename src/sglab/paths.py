@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .cone import sup_norm
-# min_fixed_point stays bound here: perfbench/spans.py traces it under this module's name
+# min_fixed_point and cofinality_witness stay bound here: perfbench/spans.py traces them under this module's name
 from .dynamics import (  # noqa: F401
     StopReason,
     StopRule,
@@ -212,20 +212,20 @@ def combined_path(
             raise PathConstructionError(f"maximal fixed point failed at knot r={r}", knot=float(r))
         main.append(res.point)
     main_arr = np.maximum.accumulate(np.vstack(main), axis=0)
+    # every gap's trajectory projected above its lower ray, all gaps as one batch
+    traj = [main_arr[1:].T]
+    for _ in range(max(m_interp, 0)):
+        traj.append(np.maximum(grid[:-1], op(traj[-1])))
     params: list[float] = [0.0]
     points: list[np.ndarray] = [np.zeros(op.n)]
     floors: list[float] = [0.0]
     for k in range(len(grid)):
         if k > 0:
             lo_r, hi_r = grid[k - 1], grid[k]
-            proj = op.projected(lo_r * np.ones(op.n))
-            traj = [main_arr[k]]
-            for _ in range(max(m_interp, 0)):
-                traj.append(proj(traj[-1]))
             inserted = []
             for m in range(1, len(traj)):
                 r_m = lo_r + (hi_r - lo_r) * 2.0 ** (-m)
-                inserted.append((r_m, traj[m]))
+                inserted.append((r_m, traj[m][:, k - 1]))
             upper = main_arr[k]
             scale = max(1.0, sup_norm(upper))
             slack = 1e-12 * scale
@@ -269,7 +269,7 @@ def orbit_path(
     """
     op = as_operator(net_or_op, rho)
     s0 = np.asarray(s0, dtype=float)
-    if np.any(s0 <= 0):
+    if not np.all(s0 > 0):
         raise PathConstructionError("the seed must have strictly positive entries")
     if np.any(op(s0) > s0):
         raise PathConstructionError("the seed is not a decay point of the operator")
@@ -294,17 +294,14 @@ def orbit_path(
         raise PathConstructionError(
             f"orbit coercivity ratio collapsed from {ratios[0]:.3e} to {ratios[-1]:.3e}: orbit is not coercive"
         )
-    ups: list[np.ndarray] = []
-    base = sup_norm(s0)
-    for k in range(1, 9):
-        target = (2.0**k) * base * np.ones(op.n)
-        res = cofinality_witness(op, target, stop)
-        if res.status != "witness":
-            raise PathConstructionError(
-                f"no decay point found above the ray at {2.0 ** k * base}: upward extension failed ({res.status})"
-            )
-        ups.append(res.point)
-    chain = list(reversed(orbit)) + ups
+    targets = 2.0 ** np.arange(1, 9) * sup_norm(s0)
+    ups = _ray_fixed_points(op, targets, stop)
+    if ups[-1].status is not StopReason.CONVERGED:
+        word = "diverged" if ups[-1].status is StopReason.DIVERGED else "inconclusive"
+        raise PathConstructionError(
+            f"no decay point found above the ray at {float(targets[len(ups) - 1])}: upward extension failed ({word})"
+        )
+    chain = list(reversed(orbit)) + [res.point for res in ups]
     params: list[float] = [0.0]
     points: list[np.ndarray] = [np.zeros(op.n)]
     mins: list[float] = []

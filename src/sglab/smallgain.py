@@ -448,13 +448,13 @@ def cycle_gain_check(
     )
 
 
-def spectral_condition(net: GainNetwork, n_max: int = 64, rho: KFun | None = None, seed: int = 0) -> SgcVerdict:
+def spectral_condition(net: GainNetwork, n_max: int = 64, rho: KFun | None = None) -> SgcVerdict:
     """Power-iteration test ``||T^n(ones)|| < 1`` for homogeneous operators.
 
-    Homogeneity is verified on random samples before iterating (linear
-    gains with max/sum aggregation, and a linear enlargement if given);
-    the test is decisive when the threshold is reached, otherwise the
-    observed growth ratio is reported as inconclusive.
+    The operator is homogeneous by construction (linear gains with max/sum
+    aggregation, and a linear enlargement if given); the test is decisive
+    when the threshold is reached, otherwise the observed growth ratio is
+    reported as inconclusive.
     """
     if net.uniform_maf not in ("max", "sum"):
         raise ValueError("spectral condition applies to pure max- or sum-aggregation networks")
@@ -463,13 +463,6 @@ def spectral_condition(net: GainNetwork, n_max: int = 64, rho: KFun | None = Non
     if rho is not None and not rho.is_linear:
         raise ValueError("enlargement must be linear to preserve homogeneity")
     op = as_operator(net, rho)
-    rng = np.random.default_rng([seed, 0x5BEC])
-    for _ in range(100):
-        s = rng.uniform(0.0, 2.0, size=net.n)
-        a = float(rng.uniform(0.1, 10.0))
-        lhs, rhs = op(a * s), a * op(s)
-        if sup_norm(lhs - rhs) > 1e-10 * max(1.0, sup_norm(rhs)):
-            raise ValueError("operator failed the homogeneity check")
     norms = [1.0]
     t = np.ones(net.n)
     for n in range(1, n_max + 1):
@@ -560,7 +553,7 @@ def decayset_coercivity(net: GainNetwork, n_diam: int | None = None, stop: StopR
     starts = [np.ones(net.n)] + [rng.uniform(0.1, 2.0, size=net.n) for _ in range(8)]
     for s0 in starts:
         res = cofinality_witness(net, s0, stop)
-        if res.status == "witness":
+        if res.status is StopReason.CONVERGED:
             points.append(res.point)
     result = coercivity_check(points, phi)
     if not result.ok:

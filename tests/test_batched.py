@@ -3,7 +3,11 @@
 Each reference below is a copy of the loop as it ran before the driver
 was batched: ``serial_run`` steps one column, and the battery, ray
 fixed points, ``validate`` and ``regularize`` references walk their rays
-and knots one at a time.  Batched results must match them bit for bit,
+and knots one at a time.  ``serial_cofinality`` is the augmented run
+that ``cofinality_witness`` made before it became ``min_fixed_point``,
+and the ``orbit_path`` and ``combined_path`` references climb their
+upward rays and step their gaps one at a time through it and through
+``projected`` operators.  Batched results must match them bit for bit,
 including the first failure a grid scan reports.
 """
 
@@ -28,13 +32,19 @@ from sglab import (
     StopRule,
     as_operator,
     build_network,
+    cofinality_witness,
+    combined_path,
+    default_knots,
     envelope,
     factor_id_plus,
     id_plus,
     identity,
+    iterate,
     linear,
+    max_fixed_point,
     max_mbi_probe,
     minimal_path,
+    orbit_path,
     regularize,
     stability_battery,
     sub_from_id,
@@ -186,6 +196,97 @@ def serial_regularize(path, op, max_knots=10**6, check_tol=1e-9):
         params.append(float(r_hi))
         points.append(p_hi)
     return np.asarray(params), np.vstack(points)
+
+
+def serial_cofinality(op, s, stop):
+    """The augmented run ``s <- s max T(s)`` from ``s``: (point, iterations, residual, status)."""
+    return serial_run(op.augmented(), s.copy(), stop.max_iter, stop.tol * max(1.0, sup_norm(s)), stop.bound_for(s))
+
+
+WITNESS_WORDS = {StopReason.DIVERGED: "diverged", StopReason.MAX_ITER: "inconclusive"}  # the old status words
+
+
+def serial_orbit_path(op, s0, stop):
+    """``orbit_path`` with its 8 upward rays climbed one augmented run at a time."""
+    if np.any(s0 <= 0):
+        raise PathConstructionError("the seed must have strictly positive entries")
+    if np.any(op(s0) > s0):
+        raise PathConstructionError("the seed is not a decay point of the operator")
+    traj = iterate(op, s0, stop)
+    if traj.stop_reason is not StopReason.CONVERGED:
+        raise PathConstructionError("the forward orbit did not converge")
+    if sup_norm(traj.final) > 1e-6 * max(1.0, sup_norm(s0)):
+        raise PathConstructionError("the forward orbit stalled at a nonzero fixed point (no global attraction)")
+    floor = 10.0 * stop.tol * max(1.0, sup_norm(s0))
+    orbit = [s for s in traj.states if sup_norm(s) > floor]
+    if not orbit:
+        raise PathConstructionError("the orbit collapsed immediately; nothing to interpolate")
+    ratios = []
+    for s in orbit:
+        m = float(np.min(s))
+        if m <= 0.0:
+            raise PathConstructionError(
+                f"orbit point with a vanishing component at norm {sup_norm(s):.3e}: orbit is not coercive"
+            )
+        ratios.append(m / sup_norm(s))
+    if ratios[-1] < 1e-3 * ratios[0]:
+        raise PathConstructionError(
+            f"orbit coercivity ratio collapsed from {ratios[0]:.3e} to {ratios[-1]:.3e}: orbit is not coercive"
+        )
+    ups = []
+    base = sup_norm(s0)
+    for k in range(1, 9):
+        point, _, _, status = serial_cofinality(op, (2.0**k) * base * np.ones(op.n), stop)
+        if status is not StopReason.CONVERGED:
+            raise PathConstructionError(
+                f"no decay point found above the ray at {2.0 ** k * base}: upward extension failed ({WITNESS_WORDS[status]})"
+            )
+        ups.append(point)
+    params, points, mins = [0.0], [np.zeros(op.n)], []
+    for p in list(reversed(orbit)) + ups:
+        r = sup_norm(p)
+        if r <= params[-1] * (1 + 1e-12):
+            continue
+        if not np.all(p >= points[-1] - 1e-12 * max(1.0, r)):
+            raise PathConstructionError("orbit chain failed entrywise monotonicity")
+        params.append(float(r))
+        points.append(np.maximum(p, points[-1]))
+        mins.append(float(np.min(p)) / r)
+    return np.asarray(params), np.vstack(points), min(min(mins), 1.0)
+
+
+def serial_combined_path(op, grid, m_interp, stop):
+    """``combined_path``'s knots, each gap stepped through its own ``projected`` operator."""
+    main = []
+    for r in grid:
+        res = max_fixed_point(op, r * np.ones(op.n), stop=stop)
+        if res.status is not StopReason.CONVERGED:
+            raise PathConstructionError(f"maximal fixed point failed at knot r={r}", knot=float(r))
+        main.append(res.point)
+    main_arr = np.maximum.accumulate(np.vstack(main), axis=0)
+    params, points, floors = [0.0], [np.zeros(op.n)], [0.0]
+    for k in range(len(grid)):
+        if k > 0:
+            lo_r, hi_r = grid[k - 1], grid[k]
+            proj = op.projected(lo_r * np.ones(op.n))
+            traj = [main_arr[k]]
+            for _ in range(max(m_interp, 0)):
+                traj.append(proj(traj[-1]))
+            inserted = [(lo_r + (hi_r - lo_r) * 2.0 ** (-m), traj[m]) for m in range(1, len(traj))]
+            upper = main_arr[k]
+            slack = 1e-12 * max(1.0, sup_norm(upper))
+            for r_m, p in sorted(inserted, key=lambda t: t[0]):
+                if r_m <= params[-1] + 1e-12 * max(1.0, r_m):
+                    continue
+                if not (np.all(p > points[-1] + slack) and np.all(p < upper - slack)):
+                    continue
+                params.append(float(r_m))
+                points.append(p)
+                floors.append(float(lo_r))
+        params.append(float(grid[k]))
+        points.append(np.maximum(main_arr[k], points[-1]))
+        floors.append(float(grid[k]))
+    return np.asarray(params), np.vstack(points), np.asarray(floors)
 
 
 def crossing_network(rng, maf):
@@ -356,6 +457,85 @@ class TestBatchedCallers:
                 assert same(got.r_grid, want[0]) and same(got.points, want[1])
                 outcomes.add("ok")
         assert outcomes == {"ok", "inserted", "refinement"}
+
+
+class TestOneLeastFixedPoint:
+    """``cofinality_witness`` is ``min_fixed_point``; ``orbit_path`` climbs its
+    upward rays as one batch and ``combined_path`` steps its gaps as one."""
+
+    @pytest.mark.parametrize("rho", [None, linear(0.1)])
+    def test_cofinality_witness_is_the_augmented_run(self, rho):
+        rng = np.random.default_rng(61)
+        outcomes = set()
+        for net in random_networks(61, 30):
+            op = as_operator(net, rho)
+            for stop in (StopRule(), StopRule(max_iter=25)):
+                for scale in (0.01, 0.3, 2.0, 40.0):
+                    s = scale * rng.uniform(0.0, 1.0, net.n) * rng.choice([0.0, 1.0], size=net.n, p=[0.25, 0.75])
+                    got = cofinality_witness(op, s, stop)
+                    point, its, res, status = serial_cofinality(op, s, stop)
+                    assert same(got.point, point) and got.iterations == its and got.status is status
+                    if status is not StopReason.CONVERGED:
+                        assert same(got.residual, res)
+                    outcomes.add(status)
+        assert outcomes == {StopReason.CONVERGED, StopReason.DIVERGED, StopReason.MAX_ITER}
+
+    @pytest.mark.parametrize("rho", [None, linear(0.1)])
+    def test_orbit_path(self, rho):
+        rng = np.random.default_rng(71)
+        outcomes = set()
+        # the loop gain contracts below 1, crosses the identity up to 2 and then
+        # creeps toward a large fixed point at slope 0.999 (rho included), so
+        # from the seed (0.5, 0.2) the forward orbit converges and the rays
+        # from 2 up exhaust a cap of 400 steps
+        creep = 0.999 / (1.0 if rho is None else 1.1**2)
+        slow = build_network(2, [(0, 1, KFun([0.0, 1.0, 2.0], [0.0, 0.3, 3.3], creep)), (1, 0, linear(1.0))], MAX)
+        cases = [(net, StopRule(max_iter=it), None) for net in random_networks(71, 30) for it in (100_000, 400)]
+        for net, stop, seed in cases + [(slow, StopRule(max_iter=400), np.asarray([0.5, 0.2]))]:
+            op = as_operator(net, rho)
+            for scale in (0.02, 0.5, 5.0):
+                if seed is None:
+                    # a decay point with a random shape, or a ray that need not decay
+                    start = scale * rng.uniform(0.2, 1.0, net.n)
+                    s0 = cofinality_witness(op, start, stop).point if rng.random() < 0.8 else start
+                else:
+                    s0 = scale * seed
+                try:
+                    want = serial_orbit_path(op, s0, stop)
+                except PathConstructionError as exc:
+                    with pytest.raises(PathConstructionError) as got:
+                        orbit_path(net, s0, stop, rho)
+                    assert (str(got.value), got.value.knot) == (str(exc), exc.knot)
+                    outcomes.add(str(exc).split(":")[-1].strip() if "upward" in str(exc) else "other")
+                    continue
+                path = orbit_path(net, s0, stop, rho)
+                assert same(path.r_grid, want[0]) and same(path.points, want[1])
+                assert path.phi_min.final_slope == want[2]
+                outcomes.add("ok")
+        assert outcomes == {"ok", "other", "upward extension failed (diverged)", "upward extension failed (inconclusive)"}
+
+    @pytest.mark.parametrize("rho", [None, linear(0.1)])
+    def test_combined_path(self, rho):
+        outcomes = set()
+        grids = [default_knots(-6, 4), np.asarray([0.05, 0.3, 0.31, 2.0]), np.asarray([0.7])]
+        for net in random_networks(81, 24):
+            op = as_operator(net, rho)
+            for grid in grids:
+                for m_interp in (0, 1, 3):
+                    try:
+                        want = serial_combined_path(op, grid, m_interp, StopRule())
+                    except PathConstructionError as exc:
+                        with pytest.raises(PathConstructionError) as got:
+                            combined_path(net, rho, grid, m_interp)
+                        assert (str(got.value), got.value.knot) == (str(exc), exc.knot)
+                        outcomes.add("error")
+                        continue
+                    path = combined_path(net, rho, grid, m_interp)
+                    assert same(path.r_grid, want[0]) and same(path.points, want[1])
+                    phi_min = envelope(MonotoneSamples(want[0], want[2]), Side.BELOW)
+                    assert same(path.phi_min.xs, phi_min.xs) and same(path.phi_min.ys, phi_min.ys)
+                    outcomes.add("interpolated" if len(path.r_grid) > len(grid) + 1 else "knots only")
+        assert outcomes == {"interpolated", "knots only", "error"}
 
 
 def _path_outcome(net, rho, grid, stop):

@@ -171,6 +171,15 @@ class TestApply:
         with pytest.raises(ValueError):
             as_operator(two_node_half)(np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, -np.inf], ids=["nan", "negative", "minus-inf"])
+    def test_entries_that_are_not_nonnegative_are_refused(self, two_node_half, bad):
+        op = as_operator(two_node_half)
+        for s in (np.array([1.0, bad]), np.array([[1.0, 0.5], [bad, 1.0]])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                op(s)
+        with pytest.raises(ValueError, match="nonnegative"):
+            op.projected(np.array([bad, 1.0]))
+
     def test_batch_columns_match_single(self, chain10):
         rng = np.random.default_rng(1)
         op = as_operator(chain10).enlarge_left(linear(0.1)).augmented()
@@ -197,6 +206,12 @@ class TestIterate:
         assert traj.stop_reason is StopReason.CONVERGED
         assert sup_norm(traj.final) == 0.0
 
+    def test_nan_start_refused_at_the_first_step(self, two_node_half):
+        # a NaN state passes neither the divergence nor the convergence test,
+        # so the run went on to its iteration cap
+        with pytest.raises(ValueError, match="nonnegative"):
+            iterate(two_node_half, np.array([np.nan, np.nan]))
+
 
 class TestMinFixedPoint:
     def test_floor_already_fixed(self, two_node_half):
@@ -211,6 +226,10 @@ class TestMinFixedPoint:
     def test_divergence_reported(self, two_node_double):
         res = min_fixed_point(two_node_double, np.ones(2))
         assert res.status is StopReason.DIVERGED
+
+    def test_nan_floor_refused(self, two_node_half):
+        with pytest.raises(ValueError, match="nonnegative"):
+            min_fixed_point(two_node_half, np.array([1.0, np.nan]))
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(31)
@@ -264,7 +283,7 @@ class TestDecayMargin:
 class TestCofinality:
     def test_already_decaying(self, two_node_half):
         res = cofinality_witness(two_node_half, np.ones(2))
-        assert res.status == "witness" and res.n == 1
+        assert res.status is StopReason.CONVERGED and res.iterations == 1
         np.testing.assert_allclose(res.point, [1.0, 1.0])
 
     def test_matches_min_fixed_point(self, two_node_half):
@@ -272,7 +291,7 @@ class TestCofinality:
         np.testing.assert_allclose(res.point, [4.0, 2.0], atol=1e-9)
 
     def test_divergence(self, two_node_double):
-        assert cofinality_witness(two_node_double, np.ones(2)).status == "diverged"
+        assert cofinality_witness(two_node_double, np.ones(2)).status is StopReason.DIVERGED
 
 
 class TestStabilityBattery:

@@ -90,6 +90,11 @@ class TestOrbitPath:
         with pytest.raises(PathConstructionError):
             orbit_path(two_node_half, np.array([1.0, 0.1]))  # margin negative at node 1
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+    def test_seed_without_positive_entries_rejected(self, two_node_half, bad):
+        with pytest.raises(PathConstructionError, match="strictly positive"):
+            orbit_path(two_node_half, np.array([1.0, bad]))
+
     def test_near_disconnected_rejected(self):
         # a fast and a slow cycle joined only by a slope-floor bridge: the
         # slow part ends up carried at a 1e-9 fraction, so the orbit's
