@@ -49,7 +49,7 @@ print("cycle gains with 10% margin:", cycle_gain_check(stable, rho=linear(0.1)).
 spec = spectral_condition(stable)
 print("spectral test:", spec.status, "at n =", spec.witness["n"])
 grow = spectral_condition(unstable)
-print("unstable spectral:", grow.status, "growth ratio", grow.counterexample["growth_ratio"])
+print("unstable spectral:", grow.status, "growth ratio", grow.witness["growth_ratio"])
 
 print("\n== accuracy chains for multi-step decay ==")
 chain = delta_chain(stable.lipschitz_modulus(), n=3, eps=0.5)

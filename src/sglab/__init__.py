@@ -3,7 +3,6 @@
 from .certificate import TOOL_VERSION, Certificate
 from .cone import CoercivityResult, coercivity_check, sup_norm
 from .dynamics import (
-    FixedPointError,
     FixedPointResult,
     GainOperator,
     MonotoneStepError,

@@ -1,10 +1,10 @@
 """Machine-readable result certificates.
 
-A certificate bundles the verdicts, reports and payloads of one command
-run.  Serialization is canonical (sorted keys, 2-space indent, ASCII
-escapes, shortest round-trip float repr, NaN as ``null``), so re-running
-with the same input digest and seed reproduces the bytes except for the
-``timing`` block.
+A certificate bundles the verdicts (each an ``SgcVerdict``), reports
+and payloads of one command run.  Serialization is canonical (sorted
+keys, 2-space indent, ASCII escapes, shortest round-trip float repr, NaN
+as ``null``), so re-running with the same input digest and seed
+reproduces the bytes except for the ``timing`` block.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class Certificate:
 
     @property
     def has_fail(self) -> bool:
-        return any(v.get("status") == "fail" for v in self.verdicts)
+        return any(v.failed for v in self.verdicts)
 
     def to_json(self, with_timing: bool = True) -> str:
         body = {
@@ -103,7 +103,7 @@ class Certificate:
             "command": self.command,
             "input_digest": self.input_digest,
             "seed": self.seed,
-            "verdicts": self.verdicts,
+            "verdicts": [v.to_dict() for v in self.verdicts],
             "stability": self.stability,
             "paths": self.paths,
             "notes": self.notes,

@@ -1,7 +1,8 @@
 """Command-line front end: ``sglab check|path|simulate <file> [flags]``.
 
-Exit codes: 0 no failing verdict, 1 some check failed or a construction
-broke, 2 unusable input.  All floating CSV output is printed with 17
+Exit codes (``_emit``): 1 exactly when some verdict is ``fail``, 0
+otherwise (``inconclusive`` included), and 2 only for unusable input
+(``main``).  All floating CSV output is printed with 17
 significant digits; certificates serialize canonically so identical
 inputs and seeds reproduce identical bytes (timing aside).
 """
@@ -31,6 +32,7 @@ from .paths import (
 )
 from .smallgain import (
     SamplerConfig,
+    SgcVerdict,
     cycle_gain_check,
     max_mbi_probe,
     nji_probe,
@@ -96,13 +98,15 @@ def _load(path: str):
         raise InputError(str(exc)) from exc
 
 
-def _emit(cert: Certificate, out_path: str | None) -> None:
+def _emit(cert: Certificate, out_path: str | None) -> int:
+    """Write the certificate; returns the exit code, 1 exactly when some verdict is ``fail``."""
     text = cert.to_json()
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
+    return 1 if cert.has_fail else 0
 
 
 # -- subcommands -------------------------------------------------------------
@@ -117,13 +121,13 @@ def cmd_check(args) -> int:
     if net.n * args.budget > _MAX_SAMPLE_CELLS:
         raise InputError(f"{net.n} nodes x budget {args.budget} exceeds {_MAX_SAMPLE_CELLS} sample cells; lower --budget")
 
-    cert.verdicts.append(nji_probe(net, rho, sampler).to_dict())
-    cert.verdicts.append(uniform_nji_probe(net, r=1.0, eps=0.25, rho=rho, sampler=sampler).to_dict())
-    cert.verdicts.append(max_mbi_probe(net, rho, grid).to_dict())
+    cert.verdicts.append(nji_probe(net, rho, sampler))
+    cert.verdicts.append(uniform_nji_probe(net, r=1.0, eps=0.25, rho=rho, sampler=sampler))
+    cert.verdicts.append(max_mbi_probe(net, rho, grid))
     if net.uniform_maf == "max":
-        cert.verdicts.append(cycle_gain_check(net, rho, grid).to_dict())
+        cert.verdicts.append(cycle_gain_check(net, rho, grid))
     if net.all_gains_linear and net.uniform_maf in ("max", "sum") and (rho is None or rho.is_linear):
-        cert.verdicts.append(spectral_condition(net, rho=rho).to_dict())
+        cert.verdicts.append(spectral_condition(net, rho=rho))
     report = stability_battery(net, rho, grid)
     cert.stability = report.to_dict()
     if not report.ugas_evidence and report.inconclusive_r:
@@ -149,8 +153,7 @@ def cmd_check(args) -> int:
                 }
             )
         cert.extras["truncation_sweep"] = rows
-    _emit(cert, args.out)
-    return 1 if cert.has_fail else 0
+    return _emit(cert, args.out)
 
 
 def cmd_path(args) -> int:
@@ -158,6 +161,7 @@ def cmd_path(args) -> int:
     cert = Certificate("path", digest, args.seed, notes=list(notes))
     rho = _gain_flag(args.rho) if args.rho else None
     knots = _parse_grid_flag(args.knots) if args.knots else None
+    condition = f"path:{args.method}"
     stop = StopRule()
     try:
         if args.method == "minimal":
@@ -173,25 +177,17 @@ def cmd_path(args) -> int:
         if args.min_id:
             path = reparametrize_min_id(path)
     except PathConstructionError as exc:
-        cert.verdicts.append(
-            {
-                "condition": f"path:{args.method}",
-                "status": "fail",
-                "counterexample": {"knot": exc.knot, "reason": str(exc)},
-            }
-        )
-        _emit(cert, args.out)
-        return 1
-    report = validate(path, net)
-    cert.paths.append({"method": args.method, "report": report.to_dict(), "n_knots": len(path.r_grid)})
-    cert.verdicts.append(
-        {
-            "condition": f"path:{args.method}",
-            "status": "evidence" if report.passed else "fail",
-            "witness": {"n_knots": len(path.r_grid)},
-            "counterexample": None if report.passed else report.to_dict(),
-        }
-    )
+        stopped = {"knot": exc.knot, "reason": str(exc)}
+        failed = exc.status == "fail"
+        cert.verdicts.append(SgcVerdict(condition, exc.status, None if failed else stopped, stopped if failed else None))
+        return _emit(cert, args.out)
+    report = validate(path, net).to_dict()
+    cert.paths.append({"method": args.method, "report": report, "n_knots": len(path.r_grid)})
+    failed = [name for name, part in report.items() if name != "passed" and not part["ok"]]
+    verdict = SgcVerdict(condition, "fail" if failed else "evidence", witness={"n_knots": len(path.r_grid)})
+    if failed:
+        verdict.counterexample = {"failed": failed}
+    cert.verdicts.append(verdict)
     if args.restrict:
         nodes = [int(v) for v in args.restrict.split(",")]
         sub_report = validate(restrict_path(path, nodes), subnetwork(net, nodes))
@@ -207,8 +203,7 @@ def cmd_path(args) -> int:
                 len(path.r_grid),
                 lambda lo, hi: np.column_stack((path.r_grid[lo:hi], path.points[lo:hi])),
             )
-    _emit(cert, args.out)
-    return 1 if cert.has_fail else 0
+    return _emit(cert, args.out)
 
 
 def cmd_simulate(args) -> int:

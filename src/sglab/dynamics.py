@@ -28,7 +28,7 @@ gains' knots merged into one grid, with a segment rank per gain).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -45,7 +45,6 @@ __all__ = [
     "FixedPointResult",
     "GainOperator",
     "MonotoneStepError",
-    "FixedPointError",
     "as_operator",
     "iterate",
     "min_fixed_point",
@@ -62,10 +61,6 @@ _CAP_DOUBLINGS = 8  # max_fixed_point's cap escalations before it gives up
 
 class MonotoneStepError(RuntimeError):
     """A trajectory that must move monotonically stepped the wrong way."""
-
-
-class FixedPointError(RuntimeError):
-    """Fixed-point iteration failed (divergence or an exhausted cap)."""
 
 
 class StopReason(Enum):
@@ -384,29 +379,29 @@ def max_fixed_point(net_or_op, b: np.ndarray, r_cap: float | None = None, stop: 
 
     Starts from the minimal fixed point above the cap ray ``r_cap * ones``
     and descends.  A failed descent assertion means the cap was too small;
-    the cap is doubled up to 8 times before giving up.
+    the cap is doubled up to 8 times, and when every descent fails the
+    last top is returned with status ``MAX_ITER``.  A limit below the
+    minimal fixed point raises ``MonotoneStepError``.
     """
     op = as_operator(net_or_op)
     b = np.asarray(b, dtype=float)
     cap = float(r_cap) if r_cap is not None else 2.0 * max(sup_norm(b), 1.0)
     if cap < sup_norm(b):
         raise ValueError("r_cap must be at least ||b||")
-    last_exc: Exception | None = None
     for _ in range(_CAP_DOUBLINGS + 1):
         top = min_fixed_point(op, cap * np.ones(op.n), stop)
         if top.status is not StopReason.CONVERGED:
             return top
         try:
             res = _fixed_points(op, b[:, None], top.point[:, None], stop, direction=-1)[0]
-        except MonotoneStepError as exc:
-            last_exc = exc
+        except MonotoneStepError:
             cap *= 2.0
             continue
         lower = min_fixed_point(op, b, stop)
         if lower.status is StopReason.CONVERGED and not np.all(res.point >= lower.point - 1e-8 * max(1.0, sup_norm(res.point))):
-            raise FixedPointError("maximal fixed point fell below the minimal one; raise r_cap")
+            raise MonotoneStepError("maximal fixed point fell below the minimal one")
         return res
-    raise FixedPointError(f"descent failed after {_CAP_DOUBLINGS} cap escalations: {last_exc}")
+    return replace(top, status=StopReason.MAX_ITER)
 
 
 def decay_margin(op, s: np.ndarray) -> np.ndarray:
@@ -512,8 +507,9 @@ def stability_battery(
     inconclusive = [float(r) for r, st in zip(r_grid, status) if st is StopReason.MAX_ITER]
     env = None
     if all(ugs):
-        aug_sup = [(0.0, 0.0)] + [(float(r), sup_norm(point[:, k])) for k, r in enumerate(r_grid)]
-        env = envelope(MonotoneSamples.from_pairs(aug_sup), Side.ABOVE)
+        # the limits converge only to tol, so their norms can dip from one ray to the next
+        aug_sup = np.maximum.accumulate(np.abs(point).max(axis=0, initial=0.0))
+        env = envelope(MonotoneSamples(np.concatenate(([0.0], r_grid)), np.concatenate(([0.0], aug_sup))), Side.ABOVE)
     gatt_all = all(gatt)
     ugs_all = all(ugs)
     return StabilityReport(

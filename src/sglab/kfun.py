@@ -269,11 +269,6 @@ class MonotoneSamples:
         object.__setattr__(self, "rs", rs)
         object.__setattr__(self, "zs", zs)
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "MonotoneSamples":
-        arr = np.asarray(pairs, dtype=float)
-        return cls(arr[:, 0], arr[:, 1])
-
 
 def envelope(samples: MonotoneSamples, side: Side) -> KFun:
     """Strictly increasing PL bound through monotone samples.

@@ -62,11 +62,22 @@ KNOT_MARGIN_TOL = 1e-9
 
 
 class PathConstructionError(RuntimeError):
-    """Path construction failed; carries the offending knot or window."""
+    """Path construction failed; carries the offending knot or window, and in
+    ``status`` the verdict the failure supports: ``fail``, or ``inconclusive``
+    when an iteration behind it hit its cap (see ``_stopped``)."""
+
+    status = "fail"
 
     def __init__(self, message: str, knot: float | None = None):
         super().__init__(message)
         self.knot = knot
+
+
+def _stopped(reason: StopReason, message: str, knot: float | None) -> PathConstructionError:
+    """The error of an iteration stopped on ``reason``: ``inconclusive`` at its cap, else ``fail``."""
+    exc = PathConstructionError(message, knot)
+    exc.status = "inconclusive" if reason is StopReason.MAX_ITER else "fail"
+    return exc
 
 
 @dataclass(frozen=True)
@@ -171,7 +182,7 @@ def minimal_path(
                 knot=float(r),
             )
         if res.status is StopReason.MAX_ITER:
-            raise PathConstructionError(f"iteration cap hit at knot r={r} (inconclusive)", knot=float(r))
+            raise _stopped(res.status, f"iteration cap hit at knot r={r} (inconclusive)", float(r))
         pts.append(res.point)
     points = np.vstack(pts)
     scale = max(1.0, float(np.max(points)))
@@ -209,7 +220,7 @@ def combined_path(
     for r in grid:
         res = max_fixed_point(op, r * np.ones(op.n), stop=stop)
         if res.status is not StopReason.CONVERGED:
-            raise PathConstructionError(f"maximal fixed point failed at knot r={r}", knot=float(r))
+            raise _stopped(res.status, f"maximal fixed point failed at knot r={r}", float(r))
         main.append(res.point)
     main_arr = np.maximum.accumulate(np.vstack(main), axis=0)
     # every gap's trajectory projected above its lower ray, all gaps as one batch
@@ -275,7 +286,7 @@ def orbit_path(
         raise PathConstructionError("the seed is not a decay point of the operator")
     traj = iterate(op, s0, stop)
     if traj.stop_reason is not StopReason.CONVERGED:
-        raise PathConstructionError("the forward orbit did not converge")
+        raise _stopped(traj.stop_reason, "the forward orbit did not converge", None)
     if sup_norm(traj.final) > 1e-6 * max(1.0, sup_norm(s0)):
         raise PathConstructionError("the forward orbit stalled at a nonzero fixed point (no global attraction)")
     floor = 10.0 * stop.tol * max(1.0, sup_norm(s0))
@@ -298,9 +309,8 @@ def orbit_path(
     ups = _ray_fixed_points(op, targets, stop)
     if ups[-1].status is not StopReason.CONVERGED:
         word = "diverged" if ups[-1].status is StopReason.DIVERGED else "inconclusive"
-        raise PathConstructionError(
-            f"no decay point found above the ray at {float(targets[len(ups) - 1])}: upward extension failed ({word})"
-        )
+        where = float(targets[len(ups) - 1])
+        raise _stopped(ups[-1].status, f"no decay point found above the ray at {where}: upward extension failed ({word})", None)
     chain = list(reversed(orbit)) + [res.point for res in ups]
     params: list[float] = [0.0]
     points: list[np.ndarray] = [np.zeros(op.n)]

@@ -1,12 +1,13 @@
 """Small-gain condition probes and class-specific decidable checks.
 
-Quantified-over-the-cone conditions (no-joint-increase, its uniform
-variant, maximum bounded invertibility) can only be falsified by
-sampling, so their verdicts are ``fail`` with a machine-checkable
-counterexample or ``evidence`` with the sampling budget.  ``pass`` is
-reserved for the decidable subclasses: cycle-gain checks on a declared
-interval for max aggregation, and the power-iteration spectral test for
-homogeneous operators.
+Every check returns an ``SgcVerdict``.  Quantified-over-the-cone
+conditions (no-joint-increase, its uniform variant, maximum bounded
+invertibility) can only be falsified by sampling, so their verdicts are
+``fail`` with a machine-checkable counterexample or ``evidence`` with the
+sampling budget.  ``pass`` is reserved for the decidable subclasses:
+cycle-gain checks on a declared interval for max aggregation, and a power
+iterate ``T^n(1)`` of norm below 1 for homogeneous operators.  A run that
+stops undecided is ``inconclusive``.
 
 Samplers draw a deterministic prefix (rays, unit bumps, cycle profiles)
 before any seeded randomness, so canonical counterexamples are found
@@ -46,15 +47,16 @@ __all__ = [
 
 @dataclass
 class SgcVerdict:
-    """Outcome of one condition check.
+    """Outcome of one condition check, the one verdict type of a certificate.
 
-    ``fail`` always carries a counterexample payload that reproduces the
-    violation through a single operator application; ``evidence`` records
-    the exhausted sampling budget.
+    ``pass``: the condition holds on a decided class.  ``fail``: it is
+    violated, and the counterexample replays the violation.  ``evidence``:
+    no violation within the recorded budget.  ``inconclusive``: the run
+    stopped undecided, at the point its witness names.
     """
 
     condition: str
-    status: str  # "pass" | "fail" | "evidence"
+    status: str  # "pass" | "fail" | "evidence" | "inconclusive"
     witness: dict | None = None
     counterexample: dict | None = None
     samples: int = 0
@@ -367,8 +369,8 @@ def max_mbi_probe(
         if res.status is StopReason.MAX_ITER:
             return SgcVerdict(
                 condition="max_mbi",
-                status="evidence",
-                witness={"inconclusive": True, "r": r, "iterations": res.iterations},
+                status="inconclusive",
+                witness={"r": r, "iterations": res.iterations},
                 note="iteration cap hit before convergence or divergence",
             )
         pairs.append((r, sup_norm(res.point)))
@@ -452,9 +454,9 @@ def spectral_condition(net: GainNetwork, n_max: int = 64, rho: KFun | None = Non
     """Power-iteration test ``||T^n(ones)|| < 1`` for homogeneous operators.
 
     The operator is homogeneous by construction (linear gains with max/sum
-    aggregation, and a linear enlargement if given); the test is decisive
-    when the threshold is reached, otherwise the observed growth ratio is
-    reported as inconclusive.
+    aggregation, and a linear enlargement if given); the test passes
+    when the threshold is reached, and otherwise it is inconclusive, with
+    the observed growth ratio and the last norms as its witness.
     """
     if net.uniform_maf not in ("max", "sum"):
         raise ValueError("spectral condition applies to pure max- or sum-aggregation networks")
@@ -478,8 +480,8 @@ def spectral_condition(net: GainNetwork, n_max: int = 64, rho: KFun | None = Non
     ratio = (norms[-1] / norms[n0]) ** (1.0 / (n_max - n0)) if norms[n0] > 0 else 0.0
     return SgcVerdict(
         condition="spectral",
-        status="fail",
-        counterexample={"inconclusive": True, "growth_ratio": float(ratio), "norms_tail": norms[-8:]},
+        status="inconclusive",
+        witness={"growth_ratio": float(ratio), "norms_tail": norms[-8:]},
         note=f"threshold not reached within n_max={n_max}",
     )
 

@@ -156,13 +156,13 @@ def test_ac4_spectral_condition():
         _AC4_CASES.append((net, path))
         bad = _random_spectral_net(rng, 1.1)
         v_bad = spectral_condition(bad, n_max=64)
-        assert v_bad.status == "fail" and v_bad.counterexample["inconclusive"]
-        assert abs(v_bad.counterexample["growth_ratio"] - 1.1) <= 0.05
+        assert v_bad.status == "inconclusive" and v_bad.counterexample is None
+        assert abs(v_bad.witness["growth_ratio"] - 1.1) <= 0.05
     ok = worst_lin <= 1e-9
     report(
         "AC-4",
         ok,
-        f"spectral condition decisive both ways; minimal-path homogeneity gap {worst_lin:.2e} (<= 1e-9)",
+        f"spectral condition passes below rho 1 and is inconclusive with the growth ratio above it; minimal-path homogeneity gap {worst_lin:.2e} (<= 1e-9)",
     )
 
 

@@ -115,7 +115,7 @@ def serial_battery(op, r_grid, n_max, stop, decay_rtol=1e-8):
         ugs.append(status is StopReason.CONVERGED)
         if status is StopReason.CONVERGED:
             aug_sup.append((float(r), sup_norm(point)))
-    env = envelope(MonotoneSamples.from_pairs(aug_sup), Side.ABOVE) if all(ugs) else None
+    env = envelope(MonotoneSamples(*np.asarray(aug_sup).T), Side.ABOVE) if all(ugs) else None
     return kl, gatt, ugs, inconclusive, env
 
 
@@ -409,8 +409,10 @@ class TestBatchedCallers:
                     assert got_path == want_path
                 else:
                     assert same(got_path.points, want_path.points) and same(got_path.phi_max.ys, want_path.phi_max.ys)
-                outcomes.add("cap" if (got_mbi["witness"] or {}).get("inconclusive") else got_mbi["status"])
-        assert outcomes == {"evidence", "fail", "cap"}
+                if got_mbi["status"] == "inconclusive":
+                    assert got_mbi["witness"]["r"] in grid and got_mbi["witness"]["iterations"] == stop.max_iter
+                outcomes.add(got_mbi["status"])
+        assert outcomes == {"evidence", "fail", "inconclusive"}
 
     def test_monotone_failure_raised_when_the_scan_reaches_it(self):
         class Bouncing:

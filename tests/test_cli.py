@@ -319,6 +319,22 @@ class TestPath:
         assert cert["verdicts"][0]["status"] == "fail"
         assert cert["verdicts"][0]["counterexample"]["knot"] is not None
 
+    def test_failed_validation_names_the_properties(self, files, tmp_path, monkeypatch):
+        import dataclasses
+
+        import sglab.cli
+
+        def failing_validate(path, net):
+            return dataclasses.replace(sglab.validate(path, net), decay_ok=False, bilipschitz_ok=False)
+
+        monkeypatch.setattr(sglab.cli, "validate", failing_validate)
+        out = str(tmp_path / "cert.json")
+        assert main(["path", files["a"], "--out", out]) == 1
+        cert = read_cert(out)
+        (verdict,) = cert["verdicts"]
+        assert verdict["status"] == "fail" and verdict["counterexample"] == {"failed": ["decay", "bilipschitz"]}
+        assert cert["paths"][0]["report"]["passed"] is False
+
     def test_combined_with_restriction(self, files, tmp_path):
         out = str(tmp_path / "cert.json")
         code = main(

@@ -8,7 +8,8 @@ A change that alters output bytes on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in CHANGES.md; a performance change must leave them as they are.
+which prints the name of each expected file whose bytes it rewrote, and
+says why in CHANGES.md; a performance change must leave them as they are.
 """
 
 import re
@@ -61,16 +62,24 @@ def test_golden_bytes(net, case, tmp_path):
 
 
 def regenerate() -> None:
+    """Rewrite the expected outputs and print the name of each file whose bytes changed."""
     expected = GOLDEN / "expected"
     expected.mkdir(exist_ok=True)
     for (net, case), want in RUNS.items():
-        for old in expected.glob(f"{net}.{case}.*"):
-            old.unlink()
+        before = {p.name: p.read_bytes() for p in expected.glob(f"{net}.{case}.*")}
+        for name in before:
+            (expected / name).unlink()
         code, texts = run_case(net, case, expected)
         if code != want:
             raise SystemExit(f"{net} {case}: exit {code}, expected {want}")
+        after = {}
         for name, text in texts.items():
-            (expected / f"{net}.{case}.{name}").write_text(text)
+            path = expected / f"{net}.{case}.{name}"
+            path.write_text(text)
+            after[path.name] = path.read_bytes()
+        for name in sorted(before.keys() | after.keys()):
+            if before.get(name) != after.get(name):
+                print(name)
 
 
 if __name__ == "__main__":

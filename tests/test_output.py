@@ -18,6 +18,7 @@ from sglab.cli import _CSV_CHUNK_CELLS, _write_csv, main
 from sglab.cone import sup_norm
 from sglab.dynamics import StopRule, as_operator, iterate
 from sglab.network import network_from_dict
+from sglab.smallgain import SgcVerdict
 
 # -- the frozen serializers --------------------------------------------------
 
@@ -167,7 +168,8 @@ class TestJsonBytes:
     def test_certificate_matches_old_body(self):
         rng = random.Random(99)
         cert = Certificate("check", "abc123", 7, notes=["a note", "π"])
-        cert.verdicts = [random_tree(rng) for _ in range(5)] + [{"status": "pass", "witness": np.arange(4)}]
+        cert.verdicts = [SgcVerdict(f"c{k}", "evidence", random_tree(rng), random_tree(rng)) for k in range(5)]
+        cert.verdicts.append(SgcVerdict("spectral", "pass", witness={"norms": np.arange(4)}))
         cert.stability = {"kl_table": np.random.default_rng(1).random((3, 4)), "gatt_per_r": [True, False]}
         cert.paths = [{"report": random_tree(rng)}]
         cert.extras = {"truncation_sweep": [{"N": 10, "beta_1_16": 0.25}]}
@@ -177,7 +179,7 @@ class TestJsonBytes:
             "command": "check",
             "input_digest": "abc123",
             "seed": 7,
-            "verdicts": cert.verdicts,
+            "verdicts": [v.to_dict() for v in cert.verdicts],
             "stability": cert.stability,
             "paths": cert.paths,
             "notes": cert.notes,

@@ -156,8 +156,8 @@ class TestSpectralCondition:
     def test_supercritical_growth_ratio(self):
         net = build_network(2, [(1, 0, linear(1.1)), (0, 1, linear(1.1))], MAX)
         v = spectral_condition(net)
-        assert v.failed and v.counterexample["inconclusive"]
-        assert v.counterexample["growth_ratio"] == pytest.approx(1.1, abs=1e-9)
+        assert v.status == "inconclusive" and not v.failed and v.counterexample is None
+        assert v.witness["growth_ratio"] == pytest.approx(1.1, abs=1e-9)
 
     def test_nonlinear_rejected(self):
         from sglab import KFun
