@@ -11,12 +11,12 @@ positivity bound instead of having them inferred.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .kfun import KFun, KFunError, identity, linear, pointwise_max, pointwise_min, power_kfun
@@ -67,12 +67,14 @@ class Digraph:
             if len(set(nbrs)) != len(nbrs):
                 raise NetworkError(f"duplicate in-edge at node {i}")
 
-    def to_networkx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self.n))
+    @cached_property
+    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per-node out-neighbor lists, in ascending order."""
+        out: list[list[int]] = [[] for _ in range(self.n)]
         for i, nbrs in enumerate(self.in_neighbors):
-            g.add_edges_from((j, i) for j in nbrs)
-        return g
+            for j in nbrs:
+                out[j].append(i)
+        return tuple(map(tuple, out))
 
 
 @dataclass(frozen=True)
@@ -278,19 +280,19 @@ def neighborhood(graph: Digraph, i: int, depth: int) -> frozenset[int]:
         raise NetworkError(f"node {i} out of range")
     if depth < 0:
         raise NetworkError("depth must be nonnegative")
-    seen = {i}
-    frontier = [i]
-    for _ in range(depth):
-        nxt = []
-        for v in frontier:
-            for w in graph.in_neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(_hops(graph.in_neighbors, i, depth))
+
+
+def _hops(nbrs, i: int, depth: float = float("inf")) -> dict[int, int]:
+    """Breadth-first hop counts from ``i`` along ``nbrs``, up to ``depth`` hops."""
+    dist, order = {i: 0}, [i]
+    for v in order:
+        if dist[v] < depth:
+            for w in nbrs[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    order.append(w)
+    return dist
 
 
 def subnetwork(net: GainNetwork, nodes) -> GainNetwork:
@@ -312,18 +314,86 @@ def subnetwork(net: GainNetwork, nodes) -> GainNetwork:
 
 
 def is_strongly_connected(graph: Digraph) -> bool:
-    if graph.n == 1:
-        return True
-    return bool(nx.is_strongly_connected(graph.to_networkx()))
+    """Node 0 reaches every node and every node reaches node 0."""
+    return len(_hops(graph.in_neighbors, 0)) == graph.n == len(_hops(graph.out_neighbors, 0))
 
 
 def graph_diameter(graph: Digraph) -> int:
     """Longest shortest path over ordered pairs (graph must be strongly connected)."""
     if not is_strongly_connected(graph):
         raise NetworkError("diameter is only defined here for strongly connected graphs")
-    if graph.n == 1:
-        return 0
-    return int(nx.diameter(graph.to_networkx()))
+    return max(max(_hops(graph.in_neighbors, i).values()) for i in range(graph.n))
+
+
+def _simple_cycles(graph: Digraph):
+    """Every simple cycle once, as its node list from its least node, the
+    lists in lexicographic order.
+
+    Johnson's circuit search (SIAM J. Comput. 4(1), 1975): roots in
+    ascending order, each searching the nodes above it, out-neighbors in
+    ascending order, with Johnson's blocking sets.  Nodes outside the
+    root's strongly connected component close no cycle and are skipped,
+    which keeps graphs whose nodes lie on few cycles linear.
+    """
+    out, comp = graph.out_neighbors, _components(graph.out_neighbors)
+    for s in range(graph.n):
+        stack = [[s, iter(out[s]), False]]  # frames: node, its out-neighbors left, closed a cycle
+        blocked, held = {s}, {}
+        while stack:
+            top = stack[-1]
+            for w in top[1]:
+                if w == s:
+                    yield [frame[0] for frame in stack]
+                    top[2] = True
+                elif w > s and comp[w] == comp[s] and w not in blocked:
+                    stack.append([w, iter(out[w]), False])
+                    blocked.add(w)
+                    break
+            else:
+                v, _, closed = stack.pop()
+                if not closed:
+                    for w in out[v]:
+                        held.setdefault(w, set()).add(v)
+                    continue
+                if stack:
+                    stack[-1][2] = True
+                free = [v]
+                while free:
+                    u = free.pop()
+                    if u in blocked:
+                        blocked.remove(u)
+                        free.extend(held.pop(u, ()))
+
+
+def _components(nbrs) -> list[int]:
+    """Strongly connected component label of each node (Tarjan, without recursion)."""
+    n = len(nbrs)
+    index, low, comp, stack, ticks = [-1] * n, [0] * n, [-1] * n, [], itertools.count()
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = next(ticks)
+        stack.append(root)
+        work = [(root, iter(nbrs[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = next(ticks)
+                    stack.append(w)
+                    work.append((w, iter(nbrs[w])))
+                    break
+                if comp[w] < 0:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while comp[v] < 0:
+                        comp[stack.pop()] = v
+    return comp
 
 
 # -- truncation templates ------------------------------------------------

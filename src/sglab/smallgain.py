@@ -16,18 +16,20 @@ regardless of seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from .cone import coercivity_check, sup_norm
 # min_fixed_point stays bound here: perfbench/spans.py traces it under this module's name
 from .dynamics import StopReason, StopRule, _ray_fixed_points, as_operator, cofinality_witness, min_fixed_point  # noqa: F401
 from .kfun import KFun, MonotoneSamples, Side, compose_power, envelope, id_plus, identity
-from .network import GainNetwork, graph_diameter, is_strongly_connected, neighborhood
+from .network import GainNetwork, _simple_cycles, graph_diameter, is_strongly_connected, neighborhood
+
+nx = None  # perfbench/spans.py patches this binding when it traces a run
 
 __all__ = [
     "SgcVerdict",
@@ -90,8 +92,13 @@ class SamplerConfig:
 
 
 def _cycles(net: GainNetwork, limit: int):
-    """Up to ``limit`` simple cycles; returns (cycles, truncated flag)."""
-    gen = nx.simple_cycles(net.graph.to_networkx())
+    """Up to ``limit`` simple cycles; returns (cycles, truncated flag).
+
+    The order is a contract, since certificate bytes follow it: each
+    cycle once, as its node list from its least node, and the lists in
+    lexicographic order (``network._simple_cycles``).
+    """
+    gen = _simple_cycles(net.graph)
     cycles = list(itertools.islice(gen, limit))
     truncated = next(gen, None) is not None
     return cycles, truncated
@@ -405,15 +412,23 @@ def cycle_gain_check(
     grid = np.asarray(sorted(float(g) for g in test_grid))
     r_top = float(grid[-1])
     cycles, truncated = _cycles(net, _CYCLE_BUDGET)
+    lift = None if rho is None else id_plus(rho)
+
+    @functools.cache
+    def step(a: int, b: int) -> KFun:
+        gain = net.edge_gain[(a, b)]
+        return gain if lift is None else lift.compose(gain)
+
+    chain: list[tuple[int, KFun]] = []  # (node, chained gain from the root to it) along the previous cycle
     checked = 0
     for cyc in cycles:
-        f = identity()
-        loop = list(cyc) + [cyc[0]]
-        for a, b in zip(loop, loop[1:]):
-            step = net.edge_gain[(a, b)]
-            if rho is not None:
-                step = id_plus(rho).compose(step)
-            f = step.compose(f)
+        k = 0  # consecutive cycles share a prefix of the search path; its chained gains are kept
+        while k < min(len(chain), len(cyc)) and chain[k][0] == cyc[k]:
+            k += 1
+        del chain[k:]
+        for b in cyc[k:]:
+            chain.append((b, step(chain[-1][0], b).compose(chain[-1][1]) if chain else identity()))
+        f = step(cyc[-1], cyc[0]).compose(chain[-1][1])
         checked += 1
         if f._out_slopes[0] >= 1.0:
             r_bad = min(f.xs[1] if len(f.xs) > 1 else r_top, r_top) / 2.0
