@@ -20,7 +20,9 @@ battery's rays) goes through the one driver ``_run``,
 which steps a batch ``(n, m)`` of columns, each with its own stop rule,
 and applies only the columns still running: the battery's ray table and
 augmented rays are one batch each, as are the ray fixed points behind
-``max_mbi_probe`` and ``minimal_path``; a single start is a batch of one.
+``max_mbi_probe``, ``minimal_path`` and ``orbit_path``'s upward leg;
+``combined_path``'s maximal fixed points take three batches per cap round
+(tops, descents, lower bounds); a single start is a batch of one.
 Every application goes through ``_base_apply``, which evaluates all max
 and sum edges at once from one knot table per network (the distinct
 gains' knots merged into one grid, with a segment rank per gain).
@@ -28,7 +30,7 @@ gains' knots merged into one grid, with a segment rank per gain).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -235,16 +237,16 @@ def _base_apply(net: GainNetwork, s: np.ndarray) -> np.ndarray:
 # -- iteration ------------------------------------------------------------
 
 
-def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norms=None, in_order=False):
+def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norms=None, in_order=False, slack=0.0):
     """The one monotone-iteration driver, over a batch ``(n, m)`` of columns.
 
     Each column steps ``s <- op(s)`` (``s <- floor max op(s)`` when a floor
     of shape ``(n, m)`` or ``(1, m)`` is given) until its own stop rule
     fires, and is then frozen; only the active columns are applied.
-    ``tol`` and ``bound`` are scalars or ``(m,)`` arrays.  Divergence (sup norm above
+    ``tol``, ``bound`` and ``slack`` are scalars or ``(m,)`` arrays.  Divergence (sup norm above
     ``bound``) is tested before convergence (sup-norm step at most
     ``tol``).  ``direction`` +1 (-1) asserts an increasing (decreasing)
-    column up to ``1e-12`` times the largest norm it has had; a column
+    column up to ``slack`` plus ``1e-12`` times the largest norm it has had; a column
     failing that stops with a ``MonotoneStepError`` as its status.
     ``states``, when given, receives every new active batch, and
     ``norms[k, it]`` the norm of column ``k`` after step ``it``.
@@ -263,7 +265,7 @@ def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norm
     if m == 0:
         return point, its, res, status
     act, cur, fl = np.arange(m), s, floor
-    tl, bd = np.zeros(m) + tol, np.zeros(m) + bound
+    tl, bd, sl = np.zeros(m) + tol, np.zeros(m) + bound, np.zeros(m) + slack
     scale = np.maximum(1.0, np.abs(s).max(axis=0)) if direction else None
     for it in range(1, max_iter + 1):
         nxt = op(cur)
@@ -271,7 +273,8 @@ def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norm
             nxt = np.maximum(fl, nxt)
         drift = nxt - cur
         if direction:
-            wrong = (drift < -1e-12 * scale) if direction > 0 else (drift > 1e-12 * scale)
+            lim = 1e-12 * scale + sl
+            wrong = (drift < -lim) if direction > 0 else (drift > lim)
             failed = np.logical_or.reduce(wrong, axis=0)
         step = np.maximum.reduce(np.abs(drift), axis=0)
         norm = np.maximum.reduce(np.abs(nxt), axis=0)
@@ -303,7 +306,7 @@ def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norm
             keep = (~leave).nonzero()[0]
             if not keep.size:
                 break
-            act, nxt, step, tl, bd = act[keep], nxt[:, keep], step[keep], tl[keep], bd[keep]
+            act, nxt, step, tl, bd, sl = act[keep], nxt[:, keep], step[keep], tl[keep], bd[keep], sl[keep]
             if direction:
                 scale = scale[keep]
             if fl is not None:
@@ -330,23 +333,24 @@ def iterate(op, s0: np.ndarray, stop: StopRule = StopRule()) -> Trajectory:
     return Trajectory([s] + [x[:, 0] for x in steps], status[0], float(res[0]))
 
 
-def _fixed_points(op: GainOperator, b: np.ndarray, s0: np.ndarray, stop: StopRule, direction: int) -> list[FixedPointResult]:
-    """Iterate ``s <- b max T(s)`` from ``s0`` for every column of the
-    ``(n, m)`` floors ``b`` and starts ``s0``, asserting monotone stepping.
-
-    ``direction`` +1 demands increasing columns, -1 decreasing ones.  The
-    columns are scanned in order, as one-at-a-time runs would be: the
-    result lists each column up to the first that does not converge, and
-    raises the ``MonotoneStepError`` of a failed monotone step when the
-    scan reaches it.  On convergence the residual is the sup-norm defect
-    of the limit.
-    """
+def _fixed_point_run(op: GainOperator, b: np.ndarray, s0: np.ndarray, stop: StopRule, direction: int, in_order=False, slack=0.0):
+    """``_run`` of ``s <- b max T(s)`` from ``s0`` for every column of the
+    ``(n, m)`` floors ``b`` and starts ``s0``, each to ``stop.tol * max(1, ||b||)``."""
     tol = stop.tol * np.maximum(1.0, np.abs(b).max(axis=0))
-    point, its, res, status = _run(op, s0, stop.max_iter, tol, stop.bound_for(s0), direction, b, in_order=True)
-    conv = [k for k, st in enumerate(status) if st is StopReason.CONVERGED]
-    if conv:
-        limits = point[:, conv]
-        res[conv] = np.abs(np.maximum(b[:, conv], op(limits)) - limits).max(axis=0)
+    return _run(op, s0, stop.max_iter, tol, stop.bound_for(s0), direction, b, in_order=in_order, slack=slack)
+
+
+def _with_defect(op: GainOperator, b: np.ndarray, res: FixedPointResult) -> FixedPointResult:
+    """``res`` with the residual of a converged limit set to its sup-norm
+    defect under ``s -> b max T(s)`` (one more application)."""
+    if res.status is StopReason.CONVERGED:
+        res.residual = sup_norm(np.maximum(b, op(res.point)) - res.point)
+    return res
+
+
+def _scan(point: np.ndarray, its: np.ndarray, res: np.ndarray, status: list) -> list[FixedPointResult]:
+    """The columns in order up to the first that does not converge; a column
+    whose status is an error raises it when the scan reaches it."""
     out = []
     for k, st in enumerate(status):
         if isinstance(st, MonotoneStepError):
@@ -357,11 +361,79 @@ def _fixed_points(op: GainOperator, b: np.ndarray, s0: np.ndarray, stop: StopRul
     return out
 
 
+def _fixed_points(op: GainOperator, b: np.ndarray, s0: np.ndarray, stop: StopRule, direction: int) -> list[FixedPointResult]:
+    """Iterate ``s <- b max T(s)`` from ``s0`` for every column of the
+    ``(n, m)`` floors ``b`` and starts ``s0``, asserting monotone stepping.
+
+    ``direction`` +1 demands increasing columns, -1 decreasing ones.  The
+    columns are scanned in order, as one-at-a-time runs would be: the
+    result lists each column up to the first that does not converge, and
+    raises the ``MonotoneStepError`` of a failed monotone step when the
+    scan reaches it.  A residual is the last step, or the norm at
+    divergence.
+    """
+    return _scan(*_fixed_point_run(op, b, s0, stop, direction, in_order=True))
+
+
 def _ray_fixed_points(op: GainOperator, r_grid: np.ndarray, stop: StopRule) -> list[FixedPointResult]:
     """``min_fixed_point`` above the ray ``r * ones`` for each ``r`` of the grid,
     run as one batch and scanned in grid order (see ``_fixed_points``)."""
     b = np.ones((op.n, len(r_grid))) * np.asarray(r_grid, dtype=float)
     return _fixed_points(op, b, b, stop, direction=+1)
+
+
+def _max_fixed_points(op: GainOperator, b: np.ndarray, caps: np.ndarray, stop: StopRule) -> list[FixedPointResult]:
+    """``max_fixed_point`` for every column of the ``(n, m)`` floors ``b``
+    from its cap in ``caps``, run as column batches and scanned in column
+    order (see ``_fixed_points``).
+
+    Each cap round is three batches: the tops (minimal fixed points above
+    the cap rays), the descents from them and the minimal fixed points
+    above ``b`` that bound the descents from below.  Only a column whose
+    descent fails its monotone check goes into the next round, with its
+    cap doubled.  Once some column ends unconverged, the columns after it
+    leave.  The descent's slack covers the top's tolerance: a top is a
+    fixed point only up to that tolerance, so the first descent step may
+    rise by about as much.
+    """
+    n, m = b.shape
+    point, its, res, status = np.zeros((n, m)), np.zeros(m, dtype=int), np.zeros(m), [None] * m
+    caps = np.array(caps, dtype=float)
+    todo, end = np.arange(m), m
+
+    def put(cols, run, ks, statuses):
+        point[:, cols], its[cols], res[cols] = run[0][:, ks], run[1][ks], run[2][ks]
+        for c, st in zip(cols, statuses):
+            status[c] = st
+
+    for _ in range(_CAP_DOUBLINGS + 1):
+        todo = todo[todo < end]
+        if not todo.size:
+            break
+        rays = np.ones((n, len(todo))) * caps[todo]
+        tops = _fixed_point_run(op, rays, rays, stop, +1, in_order=True)
+        up = next((k for k, st in enumerate(tops[3]) if st is not StopReason.CONVERGED), len(todo))
+        if up < len(todo):
+            put(todo[up : up + 1], tops, [up], tops[3][up : up + 1])
+            end = todo[up]
+        cols = todo[:up]
+        down = _fixed_point_run(op, b[:, cols], tops[0][:, :up], stop, -1, slack=stop.tol * np.maximum(1.0, caps[cols]))
+        failed = np.asarray([isinstance(st, MonotoneStepError) for st in down[3]], dtype=bool)
+        # a failed descent leaves its top, inconclusive, unless a later round decides the column
+        put(cols[failed], tops, failed.nonzero()[0], [StopReason.MAX_ITER] * int(failed.sum()))
+        caps[cols[failed]] *= 2.0
+        todo, done = cols[failed], cols[~failed]
+        put(done, down, (~failed).nonzero()[0], [st for st, f in zip(down[3], failed) if not f])
+        low, _, _, low_status = _fixed_point_run(op, b[:, done], b[:, done], stop, +1)
+        p = point[:, done]
+        below = ~np.all(p >= low - 1e-8 * np.maximum(1.0, np.abs(p).max(axis=0)), axis=0)
+        for j, c in enumerate(done):
+            if isinstance(low_status[j], MonotoneStepError):
+                status[c] = low_status[j]
+            elif low_status[j] is StopReason.CONVERGED and below[j]:
+                status[c] = MonotoneStepError("maximal fixed point fell below the minimal one")
+        end = min([end] + [c for c in done if status[c] is not StopReason.CONVERGED])
+    return _scan(point, its, res, status)
 
 
 def min_fixed_point(net_or_op, b: np.ndarray, stop: StopRule = StopRule()) -> FixedPointResult:
@@ -370,8 +442,8 @@ def min_fixed_point(net_or_op, b: np.ndarray, stop: StopRule = StopRule()) -> Fi
     The trajectory is increasing (asserted each step); divergence is
     reported as evidence against bounded invertibility rather than raised.
     """
-    b = np.asarray(b, dtype=float)[:, None]
-    return _fixed_points(as_operator(net_or_op), b, b, stop, direction=+1)[0]
+    op, b = as_operator(net_or_op), np.asarray(b, dtype=float)
+    return _with_defect(op, b, _fixed_points(op, b[:, None], b[:, None], stop, direction=+1)[0])
 
 
 def max_fixed_point(net_or_op, b: np.ndarray, r_cap: float | None = None, stop: StopRule = StopRule()) -> FixedPointResult:
@@ -381,27 +453,15 @@ def max_fixed_point(net_or_op, b: np.ndarray, r_cap: float | None = None, stop: 
     and descends.  A failed descent assertion means the cap was too small;
     the cap is doubled up to 8 times, and when every descent fails the
     last top is returned with status ``MAX_ITER``.  A limit below the
-    minimal fixed point raises ``MonotoneStepError``.
+    minimal fixed point raises ``MonotoneStepError``.  This is the batch
+    of one of ``_max_fixed_points``.
     """
     op = as_operator(net_or_op)
     b = np.asarray(b, dtype=float)
     cap = float(r_cap) if r_cap is not None else 2.0 * max(sup_norm(b), 1.0)
     if cap < sup_norm(b):
         raise ValueError("r_cap must be at least ||b||")
-    for _ in range(_CAP_DOUBLINGS + 1):
-        top = min_fixed_point(op, cap * np.ones(op.n), stop)
-        if top.status is not StopReason.CONVERGED:
-            return top
-        try:
-            res = _fixed_points(op, b[:, None], top.point[:, None], stop, direction=-1)[0]
-        except MonotoneStepError:
-            cap *= 2.0
-            continue
-        lower = min_fixed_point(op, b, stop)
-        if lower.status is StopReason.CONVERGED and not np.all(res.point >= lower.point - 1e-8 * max(1.0, sup_norm(res.point))):
-            raise MonotoneStepError("maximal fixed point fell below the minimal one")
-        return res
-    return replace(top, status=StopReason.MAX_ITER)
+    return _with_defect(op, b, _max_fixed_points(op, b[:, None], np.asarray([cap]), stop)[0])
 
 
 def decay_margin(op, s: np.ndarray) -> np.ndarray:

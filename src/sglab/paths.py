@@ -14,17 +14,17 @@ raises when they fail, rather than assuming interpolants inherit decay.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .cone import sup_norm
-# min_fixed_point and cofinality_witness stay bound here: perfbench/spans.py traces them under this module's name
+# min_fixed_point, max_fixed_point and cofinality_witness stay bound here: perfbench/spans.py traces them under this module's name
 from .dynamics import (  # noqa: F401
     StopReason,
     StopRule,
+    _max_fixed_points,
     _ray_fixed_points,
     as_operator,
     cofinality_witness,
@@ -204,10 +204,11 @@ def combined_path(
 ) -> DecayPath:
     """Path through maximal fixed points with projected-orbit interpolation.
 
-    Main knots sit at the maximal fixed points above the grid rays; each
-    gap is filled with ``m_interp`` points of the trajectory projected
-    above the lower ray, which descends from the upper knot toward the
-    lower one and consists of decay points throughout.  Interpolants that
+    Main knots sit at the maximal fixed points above the grid rays, all
+    found in one ``_max_fixed_points`` batch; each gap is filled with
+    ``m_interp`` points of the trajectory projected above the lower ray,
+    which descends from the upper knot toward the lower one and consists
+    of decay points throughout.  Interpolants that
     fail strict separation (already converged) are dropped.
     """
     op = as_operator(net_or_op, rho)
@@ -216,13 +217,11 @@ def combined_path(
     grid = np.asarray(sorted(float(r) for r in r_knots))
     if grid[0] <= 0:
         raise ValueError("knots must be positive (the origin knot is implicit)")
-    main: list[np.ndarray] = []
-    for r in grid:
-        res = max_fixed_point(op, r * np.ones(op.n), stop=stop)
+    main = _max_fixed_points(op, np.ones((op.n, len(grid))) * grid, 2.0 * np.maximum(grid, 1.0), stop)
+    for r, res in zip(grid, main):
         if res.status is not StopReason.CONVERGED:
             raise _stopped(res.status, f"maximal fixed point failed at knot r={r}", float(r))
-        main.append(res.point)
-    main_arr = np.maximum.accumulate(np.vstack(main), axis=0)
+    main_arr = np.maximum.accumulate(np.vstack([res.point for res in main]), axis=0)
     # every gap's trajectory projected above its lower ray, all gaps as one batch
     traj = [main_arr[1:].T]
     for _ in range(max(m_interp, 0)):
@@ -368,41 +367,39 @@ def regularize(
     eta_out = sub_from_id(rho_outer)
     phi_min_base = pull.compose(path.phi_min)
     margin_op = as_operator(net_or_op, rho_inner)
-    # stage 2: spacing-driven knot insertion, validated one window at a time
-    params: list[float] = [0.0]
-    points: list[np.ndarray] = [np.zeros(path.n_nodes)]
-    total = len(path.r_grid)
-    for k in range(1, len(path.r_grid)):
-        r_lo, r_hi = path.r_grid[k - 1], path.r_grid[k]
-        p_lo, p_hi = lifted[k - 1], lifted[k]
-        if r_lo > 0.0:
-            eps = eta_out(phi_min_base(r_lo))
-            gap = sup_norm(p_hi - p_lo)
-            pieces = max(int(math.ceil(gap / eps)), 1) if eps > 0 else 1
-        else:
-            pieces = 1
-        total += max(pieces - 1, 0)
-        if total > max_knots:
+    # stage 2: spacing-driven knot insertion, every window at once.  A window
+    # [r_lo, r_hi] gets ceil(gap / eta_out(phi_min_base(r_lo))) pieces (one
+    # when r_lo = 0), and the first window over the knot budget raises
+    # before any inserted knot is built.
+    grid, n_win = path.r_grid, len(path.r_grid) - 1
+    gaps = np.abs(np.diff(lifted, axis=0)).max(axis=1)
+    eps = np.concatenate(([0.0], eta_out(phi_min_base(grid[1:-1]))))
+    with np.errstate(over="ignore"):
+        ratio = np.divide(gaps, eps, out=np.zeros(n_win), where=eps > 0)
+    extra = np.maximum(np.ceil(ratio), 1.0) - 1.0
+    over = np.flatnonzero(len(grid) + np.cumsum(extra) > max_knots)
+    built = over[0] if over.size else n_win
+    counts = extra[:built].astype(np.intp)
+    win = np.repeat(np.arange(built), counts)
+    t = (np.arange(len(win)) - np.repeat(np.cumsum(counts) - counts, counts) + 1) / (counts[win] + 1.0)
+    r_mid = grid[win] + t * (grid[win + 1] - grid[win])
+    p_mid = (1 - t)[:, None] * lifted[win] + t[:, None] * lifted[win + 1]
+    if len(win):
+        margin = np.min(p_mid - margin_op(p_mid.T).T, axis=1)
+        bad = np.flatnonzero(margin < -KNOT_MARGIN_TOL * np.maximum(1.0, np.abs(p_mid).max(axis=1)))
+        if bad.size:
+            k = win[bad[0]]
             raise PathConstructionError(
-                f"refinement needs more than {max_knots} knots in window [{r_lo}, {r_hi}]",
-                knot=float(r_lo),
+                f"inserted knot at r={r_mid[bad[0]]} violates the surviving margin in window [{grid[k]}, {grid[k + 1]}];"
+                " densify the source grid",
+                knot=float(r_mid[bad[0]]),
             )
-        if pieces > 1:
-            t = np.arange(1, pieces) / pieces
-            r_mid = r_lo + t * (r_hi - r_lo)
-            p_mid = (1 - t)[:, None] * p_lo + t[:, None] * p_hi
-            margin = np.min(p_mid - margin_op(p_mid.T).T, axis=1)
-            bad = np.flatnonzero(margin < -KNOT_MARGIN_TOL * np.maximum(1.0, np.abs(p_mid).max(axis=1)))
-            if bad.size:
-                raise PathConstructionError(
-                    f"inserted knot at r={r_mid[bad[0]]} violates the surviving margin in window [{r_lo}, {r_hi}];"
-                    " densify the source grid",
-                    knot=float(r_mid[bad[0]]),
-                )
-            params.extend(float(r) for r in r_mid)
-            points.extend(p_mid)
-        params.append(float(r_hi))
-        points.append(p_hi)
+    if over.size:
+        raise PathConstructionError(
+            f"refinement needs more than {max_knots} knots in window [{grid[built]}, {grid[built + 1]}]",
+            knot=float(grid[built]),
+        )
+    params, points = np.insert(grid, win + 1, r_mid), np.insert(lifted, win + 1, p_mid, axis=0)
     rho_out = rho_inner
     if target_rho is not None:
         probe = np.geomspace(max(path.r_grid[1] * 1e-3, 1e-12), path.r_grid[-1] * 10, 64)
@@ -410,7 +407,7 @@ def regularize(
             raise PathConstructionError("target margin exceeds the margin the construction can certify")
         rho_out = target_rho
     # the partial lift stays below the original path, so its upper bound holds
-    return DecayPath(np.asarray(params), np.vstack(points), rho_out, phi_min_base, path.phi_max)
+    return DecayPath(params, points, rho_out, phi_min_base, path.phi_max)
 
 
 def reparametrize_min_id(path: DecayPath) -> DecayPath:
@@ -455,7 +452,7 @@ class PathReport:
     components_ok: bool
     flat_components: list[int]
     bilipschitz_ok: bool
-    windows: list[tuple[float, float, float, float]]
+    windows: list[list[float]]  # [lo, hi, lowest slope, highest slope] per window
 
     @property
     def passed(self) -> bool:
@@ -472,7 +469,7 @@ class PathReport:
             "components": {"ok": self.components_ok, "flat": self.flat_components},
             "bilipschitz": {
                 "ok": self.bilipschitz_ok,
-                "windows": [[lo, hi, l, L] for lo, hi, l, L in self.windows],
+                "windows": self.windows,
             },
             "passed": self.passed,
         }
@@ -501,7 +498,7 @@ def validate(path: DecayPath, net_or_op) -> PathReport:
     components_ok = not flat
     seg = diffs / np.diff(grid)[:, None]
     lows, highs = np.min(seg, axis=1), np.max(seg, axis=1)
-    windows = [(float(lo), float(hi), float(l), float(L)) for lo, hi, l, L in zip(grid[:-1], grid[1:], lows, highs)]
+    windows = np.column_stack((grid[:-1], grid[1:], lows, highs)).tolist()
     bil_ok = not np.any((lows <= 0.0) | ~np.isfinite(highs))
     return PathReport(
         decay_ok=decay_ok,

@@ -7,11 +7,15 @@ and knots one at a time.  ``serial_cofinality`` is the augmented run
 that ``cofinality_witness`` made before it became ``min_fixed_point``,
 and the ``orbit_path`` and ``combined_path`` references climb their
 upward rays and step their gaps one at a time through it and through
-``projected`` operators.  Batched results must match them bit for bit,
-including the first failure a grid scan reports.
+``projected`` operators.  ``serial_max_fixed_point`` is the knot-by-knot
+cap escalation that ``combined_path``'s main knots ran before they were
+batched, with the descent's slack covering the top's tolerance.
+Batched results must match them bit for bit, including the first
+failure a grid scan reports.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +45,6 @@ from sglab import (
     identity,
     iterate,
     linear,
-    max_fixed_point,
     max_mbi_probe,
     minimal_path,
     orbit_path,
@@ -51,22 +54,22 @@ from sglab import (
     sup_norm,
     validate,
 )
-from sglab.dynamics import _fixed_points, _run
-from conftest import random_kfun
+from sglab.dynamics import _fixed_points, _max_fixed_points, _run
+from conftest import random_kfun, random_network
 
 L2 = MafSpec("custom", func=lambda v: float(np.sqrt(np.sum(v * v))), modulus=linear(3.0), xi=identity())
 
 
-def serial_run(op, s, max_iter, tol, bound, direction=0, states=None):
+def serial_run(op, s, max_iter, tol, bound, direction=0, states=None, slack=0.0):
     """One column, stepped until its stop rule fires (the loop before batching)."""
     scale = max(1.0, sup_norm(s))
     step = np.inf
     for it in range(1, max_iter + 1):
         nxt = op(s)
         drift = nxt - s
-        if direction > 0 and np.any(drift < -1e-12 * scale):
+        if direction > 0 and np.any(drift < -(1e-12 * scale + slack)):
             raise MonotoneStepError("projected trajectory failed to increase")
-        if direction < 0 and np.any(drift > 1e-12 * scale):
+        if direction < 0 and np.any(drift > 1e-12 * scale + slack):
             raise MonotoneStepError("projected trajectory failed to decrease")
         if states is not None:
             states.append(nxt)
@@ -87,6 +90,51 @@ def serial_min_fixed_point(op, b, stop):
     if status is StopReason.CONVERGED:
         res = sup_norm(proj(point) - point)
     return point, its, res, status
+
+
+def floored(op, floor):
+    return lambda s: np.maximum(floor, op(s))
+
+
+def serial_max_fixed_point(op, b, stop):
+    """``max_fixed_point`` as it ran before its cap rounds were batched, with
+    the descent's slack covering the top's tolerance: (point, iterations,
+    status, the stage that decided it)."""
+
+    def least(floor):
+        tol = stop.tol * max(1.0, sup_norm(floor))
+        return serial_run(floored(op, floor), floor.copy(), stop.max_iter, tol, stop.bound_for(floor), +1)
+
+    cap = 2.0 * max(sup_norm(b), 1.0)
+    for _ in range(9):
+        top = least(cap * np.ones(len(b)))
+        if top[3] is not StopReason.CONVERGED:
+            return top[0], top[1], top[3], "top"
+        tol, slack = stop.tol * max(1.0, sup_norm(b)), stop.tol * max(1.0, cap)
+        try:
+            down = serial_run(floored(op, b), top[0], stop.max_iter, tol, stop.bound_for(top[0]), -1, slack=slack)
+        except MonotoneStepError:
+            cap *= 2.0
+            continue
+        low = least(b)
+        if low[3] is StopReason.CONVERGED and not np.all(down[0] >= low[0] - 1e-8 * max(1.0, sup_norm(down[0]))):
+            raise MonotoneStepError("maximal fixed point fell below the minimal one")
+        return down[0], down[1], down[3], "descent"
+    return top[0], top[1], StopReason.MAX_ITER, "exhausted"
+
+
+def serial_max_scan(op, b, stop):
+    """``serial_max_fixed_point`` for the columns of ``b`` in order, up to the
+    first that does not converge; and the message of an error raised on the way."""
+    out = []
+    for k in range(b.shape[1]):
+        try:
+            out.append(serial_max_fixed_point(op, b[:, k], stop))
+        except MonotoneStepError as exc:
+            return out, str(exc)
+        if out[-1][2] is not StopReason.CONVERGED:
+            break
+    return out, None
 
 
 def serial_ray_fixed_points(op, grid, stop):
@@ -256,13 +304,16 @@ def serial_orbit_path(op, s0, stop):
 
 
 def serial_combined_path(op, grid, m_interp, stop):
-    """``combined_path``'s knots, each gap stepped through its own ``projected`` operator."""
+    """``combined_path``'s knots, each main knot from ``serial_max_fixed_point``
+    and each gap stepped through its own ``projected`` operator."""
     main = []
     for r in grid:
-        res = max_fixed_point(op, r * np.ones(op.n), stop=stop)
-        if res.status is not StopReason.CONVERGED:
-            raise PathConstructionError(f"maximal fixed point failed at knot r={r}", knot=float(r))
-        main.append(res.point)
+        point, _, status, _ = serial_max_fixed_point(op, r * np.ones(op.n), stop)
+        if status is not StopReason.CONVERGED:
+            exc = PathConstructionError(f"maximal fixed point failed at knot r={r}", knot=float(r))
+            exc.status = "inconclusive" if status is StopReason.MAX_ITER else "fail"
+            raise exc
+        main.append(point)
     main_arr = np.maximum.accumulate(np.vstack(main), axis=0)
     params, points, floors = [0.0], [np.zeros(op.n)], [0.0]
     for k in range(len(grid)):
@@ -460,6 +511,19 @@ class TestBatchedCallers:
                 outcomes.add("ok")
         assert outcomes == {"ok", "inserted", "refinement"}
 
+    def test_regularize_raises_before_building_the_window_over_budget(self, two_node_half):
+        # the last window needs about 4e5 pieces, 6.8 MB of knots for two nodes
+        points = np.asarray([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [100.0, 100.0]])
+        path = DecayPath(np.arange(4.0), points, linear(0.1), linear(0.01), linear(200.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(PathConstructionError, match=r"more than 10000 knots in window \[2.0, 3.0\]"):
+                regularize(path, two_node_half, max_knots=10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestOneLeastFixedPoint:
     """``cofinality_witness`` is ``min_fixed_point``; ``orbit_path`` climbs its
@@ -520,24 +584,101 @@ class TestOneLeastFixedPoint:
     def test_combined_path(self, rho):
         outcomes = set()
         grids = [default_knots(-6, 4), np.asarray([0.05, 0.3, 0.31, 2.0]), np.asarray([0.7])]
-        for net in random_networks(81, 24):
+        cases = [(net, StopRule()) for net in random_networks(81, 24)] + [(net, StopRule(max_iter=25)) for net in random_networks(82, 6)]
+        if rho is not None:
+            cases.append((EXHAUSTING, StopRule()))
+        for net, stop in cases:
             op = as_operator(net, rho)
             for grid in grids:
                 for m_interp in (0, 1, 3):
                     try:
-                        want = serial_combined_path(op, grid, m_interp, StopRule())
+                        want = serial_combined_path(op, grid, m_interp, stop)
                     except PathConstructionError as exc:
                         with pytest.raises(PathConstructionError) as got:
-                            combined_path(net, rho, grid, m_interp)
-                        assert (str(got.value), got.value.knot) == (str(exc), exc.knot)
-                        outcomes.add("error")
+                            combined_path(net, rho, grid, m_interp, stop)
+                        assert (str(got.value), got.value.knot, got.value.status) == (str(exc), exc.knot, exc.status)
+                        outcomes.add(exc.status)
                         continue
-                    path = combined_path(net, rho, grid, m_interp)
+                    path = combined_path(net, rho, grid, m_interp, stop)
                     assert same(path.r_grid, want[0]) and same(path.points, want[1])
                     phi_min = envelope(MonotoneSamples(want[0], want[2]), Side.BELOW)
                     assert same(path.phi_min.xs, phi_min.xs) and same(path.phi_min.ys, phi_min.ys)
                     outcomes.add("interpolated" if len(path.r_grid) > len(grid) + 1 else "knots only")
-        assert outcomes == {"interpolated", "knots only", "error"}
+        assert outcomes == {"interpolated", "knots only", "fail", "inconclusive"}
+
+
+class Steps:
+    """A non-monotone elementwise operator on two nodes: ``values[k]`` on
+    ``[cuts[k - 1], cuts[k])``, and ``slope * s`` from ``cuts[-1]`` on when
+    ``slope`` is given."""
+
+    n = 2
+
+    def __init__(self, cuts, values, slope=None):
+        self.cuts, self.values, self.slope = np.asarray(cuts), np.asarray(values), slope
+
+    def __call__(self, s):
+        out = self.values[np.minimum(np.searchsorted(self.cuts, s, side="right"), len(self.values) - 1)]
+        return out if self.slope is None else np.where(s >= self.cuts[-1], self.slope * s, out)
+
+
+# random_networks(186, 23)[22] with rho 0.1: at knot 2**-6 every descent fails, up to the cap 2**9
+EXHAUSTING = random_networks(186, 23)[22]
+
+
+class TestMaxFixedPoints:
+    """The cap rounds of ``_max_fixed_points`` against ``serial_max_fixed_point``
+    knot by knot: the same points, iterations and statuses, and the same
+    first error."""
+
+    def check(self, op, grid, stop):
+        b = np.ones((op.n, len(grid))) * np.asarray(grid, dtype=float)
+        want, error = serial_max_scan(op, b, stop)
+        try:
+            got = _max_fixed_points(op, b, 2.0 * np.maximum(grid, 1.0), stop)
+        except MonotoneStepError as exc:
+            assert str(exc) == error and error is not None
+            return error
+        assert error is None and len(got) == len(want)
+        for res, (point, its, status, _) in zip(got, want):
+            assert same(res.point, point) and res.iterations == its and res.status is status
+        return f"{want[-1][3]}: {want[-1][2].value}"
+
+    def test_networks(self):
+        outcomes = set()
+        grids = [default_knots(-6, 4), np.asarray([0.05, 0.3, 0.31, 2.0])]
+        rng = np.random.default_rng(91)
+        nets = random_networks(91, 18) + [random_network(rng, n_max=5) for _ in range(6)]
+        for net in nets:
+            for rho in (None, linear(0.1)):
+                for stop in (StopRule(), StopRule(max_iter=25)):
+                    for grid in grids:
+                        outcomes.add(self.check(as_operator(net, rho), grid, stop))
+        outcomes.add(self.check(as_operator(EXHAUSTING, linear(0.1)), default_knots(-6, 4), StopRule()))
+        assert outcomes == {"descent: converged", "top: diverged", "top: max_iter", "exhausted: max_iter"}
+
+    def test_errors_in_column_order(self):
+        # the top above 2 climbs to 3 and falls back to the cap
+        top_falls = Steps([0.55, 0.75, 1.5, 2.5], [0.9, 0.6, 0.9, 3.0, 0.0])
+        # from 2 the descent stops at 0.6, but the least fixed point above 0.5 is 0.9
+        fell_below = Steps([0.55, 0.75, 1.5], [0.9, 0.6, 0.9, 0.6])
+        # the least fixed point above 0.5 climbs to 0.9 and falls back
+        low_falls = Steps([0.55, 0.75, 1.5], [0.9, 0.6, 0.0, 0.6])
+        # halving from every cap, each descent rises from below 1 to 0.9
+        exhausts = Steps([1.0], [0.9, 0.9], slope=0.5)
+
+        expected = {
+            top_falls: "projected trajectory failed to increase",
+            fell_below: "maximal fixed point fell below the minimal one",
+            low_falls: "projected trajectory failed to increase",
+        }
+        for f, message in expected.items():
+            assert self.check(f, [0.5], StopRule()) == message
+            assert self.check(f, [4.0, 0.5, 0.7], StopRule()) == message
+            # a column that diverges first ends the scan before the error
+            assert self.check(f, [4.0, 1e12, 0.5], StopRule(divergence_bound=1e10)) == "top: diverged"
+        assert self.check(exhausts, [0.5, 0.5], StopRule()) == "exhausted: max_iter"
+        assert self.check(exhausts, [4.0, 0.5, 1e12], StopRule(divergence_bound=1e10)) == "exhausted: max_iter"
 
 
 def _path_outcome(net, rho, grid, stop):

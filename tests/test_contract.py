@@ -8,7 +8,9 @@ verdict, and an ``nji`` fail must replay ``T(s) >= s`` through one
 application of the operator.  Draw 2 of the sweep once made ``check`` exit
 2 (a stability envelope built from norms that dipped), and draw 54 made
 ``path --method combined`` end in a traceback (an exhausted cap
-escalation in ``max_fixed_point``).
+escalation in ``max_fixed_point``), then in ``inconclusive`` while the
+descent's slack did not cover the tolerance of the top it starts from.
+Draw 91 still exhausts the escalation at one knot.
 """
 
 import json
@@ -39,10 +41,10 @@ def network_dict(net) -> dict:
     return {"nodes": net.n, "maf": net.uniform_maf, "edges": [{"from": j, "to": i, "gain": pl(g)} for j, i, g in net.edges]}
 
 
-@lru_cache(maxsize=1)
-def sweep_networks() -> list:
+@lru_cache(maxsize=2)
+def sweep_networks(count: int = 60) -> list:
     rng = np.random.default_rng(11)
-    return [random_network(rng, n_max=5, slope_range=(0.1, 1.5), p_edge=0.6) for _ in range(60)]
+    return [random_network(rng, n_max=5, slope_range=(0.1, 1.5), p_edge=0.6) for _ in range(count)]
 
 
 def run(net, command: str, tmp_path) -> tuple[int, list[dict]]:
@@ -73,9 +75,17 @@ def test_check_on_draw_2_fails_with_a_verdict(tmp_path):
     assert code == 1 and any(v["status"] == "fail" for v in verdicts)
 
 
-def test_combined_on_draw_54_is_inconclusive(tmp_path):
+def test_combined_on_draw_54_builds_a_path(tmp_path):
     code, verdicts = run(sweep_networks()[54], "combined", tmp_path)
     assert code == 0
     (verdict,) = verdicts
+    assert verdict["status"] == "evidence" and verdict["counterexample"] is None
+    assert verdict["witness"]["n_knots"] > 21
+
+
+def test_combined_on_draw_91_is_inconclusive(tmp_path):
+    code, verdicts = run(sweep_networks(92)[91], "combined", tmp_path)
+    assert code == 0
+    (verdict,) = verdicts
     assert verdict["status"] == "inconclusive" and verdict["counterexample"] is None
-    assert verdict["witness"]["knot"] > 0
+    assert verdict["witness"]["knot"] == 4.0

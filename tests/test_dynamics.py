@@ -4,6 +4,8 @@ import pytest
 from sglab import (
     MAX,
     SUM,
+    GainOperator,
+    KFun,
     MafSpec,
     StopReason,
     StopRule,
@@ -16,6 +18,7 @@ from sglab import (
     linear,
     max_fixed_point,
     min_fixed_point,
+    orbit_path,
     power_kfun,
     stability_battery,
     sup_norm,
@@ -266,6 +269,57 @@ class TestMaxFixedPoint:
     def test_cap_below_floor_rejected(self, two_node_half):
         with pytest.raises(ValueError):
             max_fixed_point(two_node_half, 2.0 * np.ones(2), r_cap=1.0)
+
+    def test_descent_slack_covers_the_top_tolerance(self):
+        # a 3-node sum network whose gains cross slope one; the top above the
+        # cap ray 2 converges slowly, to 1e-10 * 2, and the first descent step
+        # from it rises by 2.5e-10, more than 1e-12 * ||top|| = 1.1e-10, at
+        # every cap doubling alike
+        net = build_network(
+            3,
+            [
+                (1, 0, KFun([0.0, 0.9263723055647773], [0.0, 1.092318110425051], 0.8533885560586638)),
+                (2, 0, KFun([0.0, 0.27480079411031166], [0.0, 0.09088410945496143], 0.6687796558291033)),
+                (0, 2, KFun([0.0, 0.6954610541412255, 0.9388718174847779], [0.0, 0.10038461529050519, 0.13310848697488453], 1.4497394843787161)),
+                (
+                    1,
+                    2,
+                    KFun(
+                        [0.0, 0.15939781452219084, 0.8525581087846856, 1.2006166075067655, 2.1500052201915003, 2.8474096698584583, 3.7455990333819136],
+                        [0.0, 0.16117068522765826, 0.9411866727076859, 1.2006918316944089, 1.860106532505598, 2.692749500205635, 3.012081737855046],
+                        0.19213875962527913,
+                    ),
+                ),
+            ],
+            SUM,
+        )
+        b = 2.0**-10 * np.ones(3)
+        top = min_fixed_point(net, 2.0 * np.ones(3))
+        rise = float(np.max(np.maximum(b, as_operator(net)(top.point)) - top.point))
+        assert 1e-12 * sup_norm(top.point) < rise <= StopRule().tol * 2.0 + 1e-12 * sup_norm(top.point)
+        res = max_fixed_point(net, b)
+        assert res.status is StopReason.CONVERGED
+        assert np.all(res.point >= min_fixed_point(net, b).point)
+
+
+class TestResiduals:
+    def test_ray_fixed_points_skip_the_residual(self, two_node_half, monkeypatch):
+        # every ray above the gains-0.5 pair is fixed after one step; the
+        # upward leg reads no residual, so it needs no second application
+        shapes = []
+        call = GainOperator.__call__
+
+        def counted(self, s):
+            shapes.append(np.shape(s))
+            return call(self, s)
+
+        monkeypatch.setattr(GainOperator, "__call__", counted)
+        orbit_path(two_node_half, np.ones(2))
+        assert shapes.count((2, 8)) == 1
+
+    def test_min_fixed_point_reports_the_defect(self, two_node_half):
+        res = min_fixed_point(two_node_half, np.ones(2))
+        assert res.status is StopReason.CONVERGED and res.residual == 0.0
 
 
 class TestDecayMargin:
