@@ -10,6 +10,7 @@ inputs and seeds reproduce identical bytes (timing aside).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -63,7 +64,8 @@ def _parse_grid_flag(text: str) -> np.ndarray:
 
 
 def _parse_start(text: str, n: int) -> np.ndarray:
-    """``ray:R`` or a JSON vector of ``n`` finite, nonnegative entries."""
+    """``ray:R`` or a JSON vector of ``n`` finite, nonnegative entries whose
+    divergence bound (``StopRule.bound_for``) is finite."""
     if text.startswith("ray:"):
         vec = float(text[4:]) * np.ones(n)
     else:
@@ -72,7 +74,18 @@ def _parse_start(text: str, n: int) -> np.ndarray:
             raise InputError(f"start vector needs {n} entries")
     if not np.all(np.isfinite(vec) & (vec >= 0)):
         raise InputError(f"start vector {text!r} must have finite, nonnegative entries")
+    if not np.isfinite(StopRule().bound_for(vec)):
+        raise InputError(f"start vector {text!r} is too large: its divergence bound 1e9 * norm + 1 overflows")
     return vec
+
+
+def _parse_nodes(text: str, n: int) -> list[int]:
+    """A comma list of node indices, each in ``[0, n)``."""
+    nodes = [int(v) for v in text.split(",")]
+    bad = [v for v in nodes if not 0 <= v < n]
+    if bad:
+        raise InputError(f"--restrict node {bad[0]} is out of range: the network has nodes 0..{n - 1}")
+    return nodes
 
 
 def _write_csv(header: list[str], out, n_rows: int, rows) -> None:
@@ -161,6 +174,13 @@ def cmd_path(args) -> int:
     cert = Certificate("path", digest, args.seed, notes=list(notes))
     rho = _gain_flag(args.rho) if args.rho else None
     knots = _parse_grid_flag(args.knots) if args.knots else None
+    nodes = _parse_nodes(args.restrict, net.n) if args.restrict else None
+    if args.method == "orbit":
+        if not args.start:
+            raise InputError("--method orbit needs --start")
+        seed = _parse_start(args.start, net.n)
+        if not np.all(seed > 0):
+            raise InputError(f"orbit seed {args.start!r} must have strictly positive entries")
     condition = f"path:{args.method}"
     stop = StopRule()
     try:
@@ -169,9 +189,7 @@ def cmd_path(args) -> int:
         elif args.method == "combined":
             path = combined_path(net, rho, knots, stop=stop)
         else:
-            if not args.start:
-                raise InputError("--method orbit needs --start")
-            path = orbit_path(net, _parse_start(args.start, net.n), stop, rho)
+            path = orbit_path(net, seed, stop, rho)
         if args.target_rho:
             path = regularize(path, net, _gain_flag(args.target_rho))
         if args.min_id:
@@ -188,8 +206,7 @@ def cmd_path(args) -> int:
     if failed:
         verdict.counterexample = {"failed": failed}
     cert.verdicts.append(verdict)
-    if args.restrict:
-        nodes = [int(v) for v in args.restrict.split(",")]
+    if nodes:
         sub_report = validate(restrict_path(path, nodes), subnetwork(net, nodes))
         cert.paths.append({"method": f"{args.method}|restricted", "report": sub_report.to_dict()})
     if args.path_out:
@@ -281,9 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # InputError, NetworkError and JSONDecodeError among them

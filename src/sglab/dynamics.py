@@ -26,6 +26,13 @@ augmented rays are one batch each, as are the ray fixed points behind
 Every application goes through ``_base_apply``, which evaluates all max
 and sum edges at once from one knot table per network (the distinct
 gains' knots merged into one grid, with a segment rank per gain).
+
+Input is validated once per application, at ``GainOperator.__call__``,
+the entry point of every ``_run`` step too: it refuses a wrong length and
+negative or NaN entries.  The wrapper chain and ``_base_apply`` below it
+run unchecked, evaluating ``enlarge_left``/``enlarge_right`` margins
+through ``KFun._eval`` on the checked input or on the chain's own
+nonnegative values.
 """
 
 from __future__ import annotations
@@ -91,10 +98,15 @@ class StopRule:
             raise ValueError("divergence bound must be positive")
 
     def bound_for(self, s0: np.ndarray) -> float | np.ndarray:
-        """The bound for a start ``(n,)``, or for each column of ``(n, m)`` starts."""
+        """The bound for a start ``(n,)``, or for each column of ``(n, m)`` starts.
+
+        The default bound is infinite, without a warning, for a start whose
+        norm is above about 1.8e299; such a run never reads as diverged.
+        """
         if self.divergence_bound is not None:
             return self.divergence_bound
-        return 1e9 * np.abs(s0).max(axis=0) + 1.0
+        with np.errstate(over="ignore"):
+            return 1e9 * np.abs(s0).max(axis=0) + 1.0
 
 
 @dataclass
@@ -171,6 +183,8 @@ class GainOperator:
     # evaluation ---------------------------------------------------------
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
+        """Apply the operator to ``(n,)`` or ``(n, m)``: the one checked entry
+        point, which refuses a wrong length and negative or NaN entries."""
         s = np.asarray(s, dtype=float)
         expected = self.n
         if s.shape[0] != expected:
@@ -180,14 +194,16 @@ class GainOperator:
         return self._eval(len(self.wrappers) - 1, s)
 
     def _eval(self, k: int, s: np.ndarray) -> np.ndarray:
+        """Wrappers ``0..k`` over the base map, unchecked: ``s`` is the checked
+        input or a nonnegative value the chain made from it."""
         if k < 0:
             return _base_apply(self.network, s)
         w = self.wrappers[k]
         if w.kind == "enlarge_left":
             inner = self._eval(k - 1, s)
-            return inner + w.rho(inner)
+            return inner + w.rho._eval(inner)
         if w.kind == "enlarge_right":
-            return self._eval(k - 1, s + w.rho(s))
+            return self._eval(k - 1, s + w.rho._eval(s))
         if w.kind == "augment":
             return np.maximum(s, self._eval(k - 1, s))
         if w.kind == "project":
@@ -217,13 +233,14 @@ def _base_apply(net: GainNetwork, s: np.ndarray) -> np.ndarray:
     them in table order; then each custom node aggregates per column."""
     src, dst, n_max, base, rank, grid, xs, ys, slopes, caps = net._knot_table
     s2 = s.reshape(len(s), -1)
+    m = s2.shape[1]
     out = np.zeros(s2.shape)
     width = max(1, _CHUNK_ELEMENTS // max(len(src), 1))
-    for c in range(0, s2.shape[1], width):
-        v = s2[src, c : c + width]
-        k = rank.take(base + grid.searchsorted(v, "right") - 1).astype(np.intp)  # one cast of the int32 ranks, not one per take
+    for c in range(0, m, width):
+        v = s2[src] if m <= width else s2[src, c : c + width]  # one chunk: no column slice
+        k = rank.take(base + grid.searchsorted(v, "right")).astype(np.intp)  # one cast of the int32 ranks, not one per take
         gained = np.minimum(ys.take(k) + slopes.take(k) * (v - xs.take(k)), caps.take(k))
-        at = dst * s2.shape[1] + np.arange(c, c + v.shape[1])
+        at = dst if m == 1 else dst * m + np.arange(c, c + v.shape[1])
         if n_max:
             np.maximum.at(out.reshape(-1), at[:n_max].ravel(), gained[:n_max].ravel())
         if n_max < len(src):

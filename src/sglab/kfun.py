@@ -12,7 +12,9 @@ rounding and no symbolic machinery is needed.
 Evaluation is clamped segment by segment, which makes it *exactly*
 monotone in floating point: ``r1 <= r2`` implies ``f(r1) <= f(r2)`` with
 no rounding exceptions.  Several operator identities downstream rely on
-this.
+this.  ``KFun.__call__`` checks its argument (``r >= 0``); gain operators
+validate their input once per application and evaluate their
+enlargements through the unchecked ``KFun._eval``.
 """
 
 from __future__ import annotations
@@ -102,16 +104,24 @@ class KFun:
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, r):
-        """Evaluate at ``r`` (scalar or array), exactly monotone in floats."""
+        """Evaluate at ``r`` (scalar or array), exactly monotone in floats.
+
+        This is the checked entry point: a negative ``r`` raises ``ValueError``.
+        """
         arr = np.asarray(r, dtype=float)
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise ValueError("comparison functions are defined for r >= 0 only")
-        # xs[0] = 0 <= r and NaN sorts last, so idx lies in [0, len(xs) - 1]
-        idx = np.searchsorted(self.xs, arr, side="right") - 1
-        out = np.minimum(self.ys[idx] + self._out_slopes[idx] * (arr - self.xs[idx]), self._caps[idx])
+        out = self._eval(arr)
         if np.ndim(r) == 0:
             return float(out)
         return out
+
+    def _eval(self, arr: np.ndarray) -> np.ndarray:
+        """Unchecked evaluation of a float array ``arr >= 0``, for callers
+        whose input is already validated (``GainOperator``'s wrapper chain)."""
+        # xs[0] = 0 <= r and NaN sorts last, so idx lies in [0, len(xs) - 1]
+        idx = self.xs.searchsorted(arr, "right") - 1
+        return np.minimum(self.ys[idx] + self._out_slopes[idx] * (arr - self.xs[idx]), self._caps[idx])
 
     # -- algebra -------------------------------------------------------
 

@@ -161,7 +161,9 @@ class GainNetwork:
         edges, then the sum edges, each ordered by gain (first edge over all edges),
         then by file order, which fixes the summation order.  ``xs``, ``ys``, ``slopes``
         and ``caps`` concatenate the distinct gains' knots, ``grid`` merges them, and
-        ``rank[base + j]`` indexes the edge gain's segment containing ``[grid[j], grid[j + 1])``.
+        ``rank[base + j + 1]`` indexes the edge gain's segment containing ``[grid[j], grid[j + 1])``:
+        ``base`` holds each edge's row offset minus one, so that a right-sided
+        ``grid.searchsorted`` result adds to it directly.
         """
         gains = list({id(g): g for _, _, g in self.edges}.values())
         gid = {id(g): k for k, g in enumerate(gains)}
@@ -176,7 +178,7 @@ class GainNetwork:
         rank = np.concatenate(  # int32: the table is (distinct gains) x (merged knots)
             [np.zeros(0, int)] + [g.xs.searchsorted(grid, "right") - 1 + o for g, o in zip(gains, offsets)], dtype=np.int32
         )
-        return src, dst[:, None], int(np.sum(kind == 0)), ids[:, None] * len(grid), rank, grid, xs, ys, slopes, caps
+        return src, dst[:, None], int(np.sum(kind == 0)), ids[:, None] * len(grid) - 1, rank, grid, xs, ys, slopes, caps
 
     @cached_property
     def _custom_in_edges(self):

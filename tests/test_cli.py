@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -431,3 +432,100 @@ class TestSimulateSteps:
         assert code == 2
         assert err.startswith("input error:") and "--steps" in err and err.count("\n") == 1
         assert not out.exists()
+
+
+class TestRestrictFlag:
+    """``--restrict`` names nodes of the network; anything else is an input error,
+    checked before any path is built."""
+
+    @pytest.mark.parametrize("nodes", ["7", "-1", "0,2", "0,x"])
+    @pytest.mark.parametrize("net", ["a", "b"], ids=["path-built", "construction-fails"])
+    def test_bad_node_list_rejected(self, files, tmp_path, nodes, net, capsys):
+        out = tmp_path / "cert.json"
+        assert main(["path", files[net], "--rho", "linear:0.1", "--restrict", nodes, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_in_range_nodes_still_validated(self, files, tmp_path):
+        out = str(tmp_path / "cert.json")
+        assert main(["path", files["a"], "--restrict", "1", "--out", out]) == 0
+        assert [p["method"] for p in read_cert(out)["paths"]] == ["minimal", "minimal|restricted"]
+
+
+class TestOrbitSeed:
+    """An orbit seed with a zero entry is unusable input, not a counterexample."""
+
+    @pytest.mark.parametrize("start", ["ray:0", "[0, 1]", "[1, 0.0]"])
+    def test_zero_entry_rejected(self, files, tmp_path, start, capsys):
+        out = tmp_path / "cert.json"
+        assert main(["path", files["a"], "--method", "orbit", "--start", start, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "strictly positive" in err and err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestHugeStart:
+    """A start whose divergence bound ``1e9 * ||s0|| + 1`` overflows is refused."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--start", "ray:1e300"],
+            ["simulate", "--start", "[1, 1e300]"],
+            ["path", "--method", "orbit", "--start", "ray:1e300"],
+        ],
+        ids=["simulate-ray", "simulate-vector", "orbit"],
+    )
+    def test_rejected_without_warning(self, files, tmp_path, argv, capsys, recwarn):
+        out = tmp_path / "out"
+        assert main([argv[0], files["a"], *argv[1:], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_largest_finite_bound_accepted(self, files, tmp_path):
+        assert main(["simulate", files["a"], "--start", "ray:1e299", "--steps", "3", "--out", str(tmp_path / "s.csv")]) == 0
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; reusing it changes no result."""
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_consecutive_calls_reuse_one_parser(self, files, tmp_path, capsys, monkeypatch):
+        import sglab.cli
+
+        built = []
+        real = sglab.cli.build_parser
+        monkeypatch.setattr(sglab.cli, "build_parser", lambda: built.append(1) or real())
+        argvs = [
+            ["simulate", files["a"], "--start", "ray:1", "--steps", "4"],
+            ["check", files["chain"], "--budget", "50", "--N", "5", "--N", "6"],
+            ["simulate", files["a"], "--start", "ray:-1"],
+            ["path", files["b"], "--method", "minimal"],
+            ["check", files["a"], "--budget", "60", "--grid", "geometric:-2:2"],
+            ["simulate", files["a"], "--start", "[1, 0]", "--variant", "hat", "--steps", "3"],
+        ]
+        sglab.cli._parser.cache_clear()
+        try:
+            reused = [self.run(argv, capsys) for argv in argvs]
+            assert len(built) == 1
+            with pytest.raises(SystemExit):  # an argparse error leaves the parser as it was
+                main(["simulate", files["a"]])
+            capsys.readouterr()
+            reused.append(self.run(argvs[0], capsys))
+            fresh = []
+            for argv in argvs + argvs[:1]:
+                sglab.cli._parser.cache_clear()
+                fresh.append(self.run(argv, capsys))
+            assert len(built) == 2 + len(argvs)
+        finally:
+            sglab.cli._parser.cache_clear()
+        mask = lambda text: re.sub(r'"wall_seconds": [^\s,}]+', "", text)  # noqa: E731
+        assert [(c, mask(o), e) for c, o, e in reused] == [(c, mask(o), e) for c, o, e in fresh]
+        assert [c for c, _, _ in reused] == [0, 0, 2, 1, 0, 0, 0]

@@ -215,6 +215,14 @@ class TestIterate:
         with pytest.raises(ValueError, match="nonnegative"):
             iterate(two_node_half, np.array([np.nan, np.nan]))
 
+    def test_bound_of_a_huge_start_is_infinite_without_warning(self, recwarn):
+        # 1e9 * ||s0|| + 1 overflows above about 1.8e299; tier-1 turns the
+        # overflow's RuntimeWarning into an error
+        assert StopRule().bound_for(np.array([1.0, 1e300])) == np.inf
+        np.testing.assert_array_equal(StopRule().bound_for(np.array([[1.0, 1e300], [2.0, 0.0]])), [1e9 * 2.0 + 1.0, np.inf])
+        assert StopRule().bound_for(np.array([1e299, 0.0])) == 1e9 * 1e299 + 1.0
+        assert not recwarn.list
+
 
 class TestMinFixedPoint:
     def test_floor_already_fixed(self, two_node_half):
