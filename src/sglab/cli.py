@@ -1,10 +1,11 @@
 """Command-line front end: ``sglab check|path|simulate <file> [flags]``.
 
 Exit codes (``_emit``): 1 exactly when some verdict is ``fail``, 0
-otherwise (``inconclusive`` included), and 2 only for unusable input
-(``main``).  All floating CSV output is printed with 17
-significant digits; certificates serialize canonically so identical
-inputs and seeds reproduce identical bytes (timing aside).
+otherwise (``inconclusive`` included), and 2 only for unusable input,
+usage errors included (``main``, one ``input error:`` line).  All
+floating CSV output is printed with 17 significant digits; certificates
+serialize canonically so identical inputs and seeds reproduce identical
+bytes (timing aside).
 """
 
 from __future__ import annotations
@@ -48,6 +49,14 @@ _MAX_SAMPLE_CELLS = 1 << 27  # float64 cells of check's sample matrix (1 GiB)
 
 class InputError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are ``InputError``s, so that ``main``
+    reports them in one line with exit code 2."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def _gain_flag(text: str) -> KFun:
@@ -171,7 +180,7 @@ def cmd_check(args) -> int:
 
 def cmd_path(args) -> int:
     net, notes, digest = _load(args.network)
-    cert = Certificate("path", digest, args.seed, notes=list(notes))
+    cert = Certificate("path", digest, 0, notes=list(notes))  # path draws nothing at random
     rho = _gain_flag(args.rho) if args.rho else None
     knots = _parse_grid_flag(args.knots) if args.knots else None
     nodes = _parse_nodes(args.restrict, net.n) if args.restrict else None
@@ -260,7 +269,7 @@ def cmd_simulate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="sglab", description="small-gain analysis for interconnected networks")
+    p = _Parser(prog="sglab", description="small-gain analysis for interconnected networks")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="run the small-gain condition battery")
@@ -282,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--start", default=None, help="orbit seed: ray:R or JSON vector")
     t.add_argument("--min-id", dest="min_id", action="store_true", help="reparametrize to identity lower bound")
     t.add_argument("--restrict", default=None, help="also validate the restriction to these nodes (comma list)")
-    t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", default=None)
     t.add_argument("--path-out", dest="path_out", default=None, help="path file prefix (.json/.csv)")
     t.set_defaults(func=cmd_path)
@@ -305,8 +313,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:  # InputError, NetworkError and JSONDecodeError among them
         print(f"input error: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Gain operators, their monotone dynamics and stability envelopes.
 
 An operator is a network plus a chain of wrappers (enlargements on either
-side, augmentation by the argument, projection above a floor vector,
-restriction to a node subset), applied outermost-last.  Application
-accepts a single cone vector ``(n,)`` or a batch ``(n, m)`` of columns.
+side, augmentation by the argument, projection above a floor vector),
+applied outermost-last; a restriction to a node subset is the operator of
+``network.subnetwork``.  Application accepts a single cone vector ``(n,)``
+or a batch ``(n, m)`` of columns.
 
 Evaluation is exactly monotone in floating point (inherited from the
 clamped PL gain evaluation plus max/sum aggregation), which makes the
@@ -16,13 +17,15 @@ steps: both increase, and ``t_k max T(t_k) = s max T(t_{k-1}) max T(t_k)
 ``min_fixed_point``.
 
 Every iteration here (trajectories, fixed points and the stability
-battery's rays) goes through the one driver ``_run``,
-which steps a batch ``(n, m)`` of columns, each with its own stop rule,
-and applies only the columns still running: the battery's ray table and
-augmented rays are one batch each, as are the ray fixed points behind
-``max_mbi_probe``, ``minimal_path`` and ``orbit_path``'s upward leg;
-``combined_path``'s maximal fixed points take three batches per cap round
-(tops, descents, lower bounds); a single start is a batch of one.
+battery's rays) goes through the one driver ``_run``, which steps a batch
+``(n, m)`` of columns, each with its own stop rule, and applies only the
+columns still running: the battery's ray table and augmented rays are one
+batch each, as are the ray fixed points behind ``max_mbi_probe``,
+``minimal_path`` and ``orbit_path``'s upward leg; ``combined_path``'s
+maximal fixed points take three batches per cap round (tops, descents,
+lower bounds); a single start is a batch of one.  Every column runs to
+its own stop.  Reading fixed points in grid order, up to the first ray
+that does not converge, is ``_scan``'s rule alone.
 Every application goes through ``_base_apply``, which evaluates all max
 and sum edges at once from one knot table per network (the distinct
 gains' knots merged into one grid, with a segment rank per gain).
@@ -133,10 +136,9 @@ class FixedPointResult:
 
 @dataclass(frozen=True)
 class _Wrapper:
-    kind: str  # "enlarge_left" | "enlarge_right" | "augment" | "project" | "restrict"
+    kind: str  # "enlarge_left" | "enlarge_right" | "augment" | "project"
     rho: KFun | None = None
     floor: np.ndarray | None = None
-    mask: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -173,13 +175,6 @@ class GainOperator:
             raise ValueError("projection floor must be nonnegative")
         return GainOperator(self.network, self.wrappers + (_Wrapper("project", floor=floor),))
 
-    def restricted(self, nodes) -> "GainOperator":
-        """Embedded sub-network operator: zero outside ``nodes``."""
-        mask = np.zeros(self.n)
-        idx = np.fromiter((int(v) for v in nodes), dtype=int)
-        mask[idx] = 1.0
-        return GainOperator(self.network, self.wrappers + (_Wrapper("restrict", mask=mask),))
-
     # evaluation ---------------------------------------------------------
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
@@ -209,9 +204,6 @@ class GainOperator:
         if w.kind == "project":
             floor = w.floor if s.ndim == 1 else w.floor[:, None]
             return np.maximum(floor, self._eval(k - 1, s))
-        if w.kind == "restrict":
-            mask = w.mask if s.ndim == 1 else w.mask[:, None]
-            return mask * self._eval(k - 1, mask * s)
         raise AssertionError(f"unknown wrapper {w.kind}")  # pragma: no cover
 
 
@@ -254,7 +246,7 @@ def _base_apply(net: GainNetwork, s: np.ndarray) -> np.ndarray:
 # -- iteration ------------------------------------------------------------
 
 
-def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norms=None, in_order=False, slack=0.0):
+def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norms=None, slack=0.0):
     """The one monotone-iteration driver, over a batch ``(n, m)`` of columns.
 
     Each column steps ``s <- op(s)`` (``s <- floor max op(s)`` when a floor
@@ -267,12 +259,9 @@ def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norm
     failing that stops with a ``MonotoneStepError`` as its status.
     ``states``, when given, receives every new active batch, and
     ``norms[k, it]`` the norm of column ``k`` after step ``it``.
-    With ``in_order`` the columns are read as a scan that stops at the
-    first column that does not converge: once a column fails, the columns
-    after it leave the batch, and every column after the first failure
-    gets status ``None``.  Returns per column (point, iterations,
-    residual, status); the residual is the last step, or the norm at
-    divergence.
+    Returns per column (point, iterations, residual, status); the status
+    is a ``StopReason`` or a ``MonotoneStepError``, and the residual is
+    the last step, or the norm at divergence.
     """
     m = s.shape[1]
     point = s.copy()
@@ -306,21 +295,15 @@ def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norm
             diverged |= failed
             done |= failed
         if np.count_nonzero(done):
-            leave = done
-            if in_order and np.count_nonzero(diverged):
-                leave = done.copy()
-                leave[diverged.nonzero()[0][0] + 1 :] = True  # later columns leave the batch
-            for k in leave.nonzero()[0]:
+            for k in done.nonzero()[0]:
                 c = act[k]
                 point[:, c], its[c], res[c] = nxt[:, k], it, norm[k] if diverged[k] else step[k]
                 if direction and failed[k]:
                     word = "increase" if direction > 0 else "decrease"
                     status[c] = MonotoneStepError(f"projected trajectory failed to {word}")
-                elif diverged[k]:
-                    status[c] = StopReason.DIVERGED
                 else:
-                    status[c] = StopReason.CONVERGED if done[k] else None
-            keep = (~leave).nonzero()[0]
+                    status[c] = StopReason.DIVERGED if diverged[k] else StopReason.CONVERGED
+            keep = (~done).nonzero()[0]
             if not keep.size:
                 break
             act, nxt, step, tl, bd, sl = act[keep], nxt[:, keep], step[keep], tl[keep], bd[keep], sl[keep]
@@ -331,10 +314,6 @@ def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norm
         cur = nxt
     else:
         point[:, act], its[act], res[act] = cur, max_iter, step
-    if in_order:
-        first = next((k for k, st in enumerate(status) if st is not StopReason.CONVERGED), m)
-        for k in range(first + 1, m):
-            status[k] = None
     return point, its, res, status
 
 
@@ -350,11 +329,11 @@ def iterate(op, s0: np.ndarray, stop: StopRule = StopRule()) -> Trajectory:
     return Trajectory([s] + [x[:, 0] for x in steps], status[0], float(res[0]))
 
 
-def _fixed_point_run(op: GainOperator, b: np.ndarray, s0: np.ndarray, stop: StopRule, direction: int, in_order=False, slack=0.0):
+def _fixed_point_run(op: GainOperator, b: np.ndarray, s0: np.ndarray, stop: StopRule, direction: int, slack=0.0):
     """``_run`` of ``s <- b max T(s)`` from ``s0`` for every column of the
     ``(n, m)`` floors ``b`` and starts ``s0``, each to ``stop.tol * max(1, ||b||)``."""
     tol = stop.tol * np.maximum(1.0, np.abs(b).max(axis=0))
-    return _run(op, s0, stop.max_iter, tol, stop.bound_for(s0), direction, b, in_order=in_order, slack=slack)
+    return _run(op, s0, stop.max_iter, tol, stop.bound_for(s0), direction, b, slack=slack)
 
 
 def _with_defect(op: GainOperator, b: np.ndarray, res: FixedPointResult) -> FixedPointResult:
@@ -366,8 +345,10 @@ def _with_defect(op: GainOperator, b: np.ndarray, res: FixedPointResult) -> Fixe
 
 
 def _scan(point: np.ndarray, its: np.ndarray, res: np.ndarray, status: list) -> list[FixedPointResult]:
-    """The columns in order up to the first that does not converge; a column
-    whose status is an error raises it when the scan reaches it."""
+    """The one statement of the grid-scan rule: the columns in order up to and
+    including the first that does not converge, as one-at-a-time runs report
+    them.  The batches behind it run every column to its own stop; a column
+    whose status is a ``MonotoneStepError`` raises it when the scan reaches it."""
     out = []
     for k, st in enumerate(status):
         if isinstance(st, MonotoneStepError):
@@ -378,45 +359,37 @@ def _scan(point: np.ndarray, its: np.ndarray, res: np.ndarray, status: list) -> 
     return out
 
 
-def _fixed_points(op: GainOperator, b: np.ndarray, s0: np.ndarray, stop: StopRule, direction: int) -> list[FixedPointResult]:
-    """Iterate ``s <- b max T(s)`` from ``s0`` for every column of the
-    ``(n, m)`` floors ``b`` and starts ``s0``, asserting monotone stepping.
-
-    ``direction`` +1 demands increasing columns, -1 decreasing ones.  The
-    columns are scanned in order, as one-at-a-time runs would be: the
-    result lists each column up to the first that does not converge, and
-    raises the ``MonotoneStepError`` of a failed monotone step when the
-    scan reaches it.  A residual is the last step, or the norm at
-    divergence.
-    """
-    return _scan(*_fixed_point_run(op, b, s0, stop, direction, in_order=True))
+def _fixed_points(op: GainOperator, b: np.ndarray, stop: StopRule) -> list[FixedPointResult]:
+    """Least fixed points of ``s <- b max T(s)``, grown from ``b`` for every
+    column of the ``(n, m)`` floors ``b`` with an increasing step asserted,
+    read by ``_scan``.  A residual is the last step, or the norm at
+    divergence."""
+    return _scan(*_fixed_point_run(op, b, b, stop, +1))
 
 
 def _ray_fixed_points(op: GainOperator, r_grid: np.ndarray, stop: StopRule) -> list[FixedPointResult]:
     """``min_fixed_point`` above the ray ``r * ones`` for each ``r`` of the grid,
-    run as one batch and scanned in grid order (see ``_fixed_points``)."""
-    b = np.ones((op.n, len(r_grid))) * np.asarray(r_grid, dtype=float)
-    return _fixed_points(op, b, b, stop, direction=+1)
+    run as one batch and scanned in grid order (see ``_scan``)."""
+    return _fixed_points(op, np.ones((op.n, len(r_grid))) * np.asarray(r_grid, dtype=float), stop)
 
 
 def _max_fixed_points(op: GainOperator, b: np.ndarray, caps: np.ndarray, stop: StopRule) -> list[FixedPointResult]:
     """``max_fixed_point`` for every column of the ``(n, m)`` floors ``b``
-    from its cap in ``caps``, run as column batches and scanned in column
-    order (see ``_fixed_points``).
+    from its cap in ``caps``, run as column batches and read by ``_scan``.
 
     Each cap round is three batches: the tops (minimal fixed points above
-    the cap rays), the descents from them and the minimal fixed points
-    above ``b`` that bound the descents from below.  Only a column whose
-    descent fails its monotone check goes into the next round, with its
-    cap doubled.  Once some column ends unconverged, the columns after it
-    leave.  The descent's slack covers the top's tolerance: a top is a
+    the cap rays), the descents from the converged tops and the minimal
+    fixed points above ``b`` that bound the descents from below.  An
+    unconverged top is the column's result.  Only a column whose descent
+    fails its monotone check goes into the next round, with its cap
+    doubled.  The descent's slack covers the top's tolerance: a top is a
     fixed point only up to that tolerance, so the first descent step may
     rise by about as much.
     """
     n, m = b.shape
     point, its, res, status = np.zeros((n, m)), np.zeros(m, dtype=int), np.zeros(m), [None] * m
     caps = np.array(caps, dtype=float)
-    todo, end = np.arange(m), m
+    todo = np.arange(m)
 
     def put(cols, run, ks, statuses):
         point[:, cols], its[cols], res[cols] = run[0][:, ks], run[1][ks], run[2][ks]
@@ -424,23 +397,20 @@ def _max_fixed_points(op: GainOperator, b: np.ndarray, caps: np.ndarray, stop: S
             status[c] = st
 
     for _ in range(_CAP_DOUBLINGS + 1):
-        todo = todo[todo < end]
         if not todo.size:
             break
         rays = np.ones((n, len(todo))) * caps[todo]
-        tops = _fixed_point_run(op, rays, rays, stop, +1, in_order=True)
-        up = next((k for k, st in enumerate(tops[3]) if st is not StopReason.CONVERGED), len(todo))
-        if up < len(todo):
-            put(todo[up : up + 1], tops, [up], tops[3][up : up + 1])
-            end = todo[up]
-        cols = todo[:up]
-        down = _fixed_point_run(op, b[:, cols], tops[0][:, :up], stop, -1, slack=stop.tol * np.maximum(1.0, caps[cols]))
+        tops = _fixed_point_run(op, rays, rays, stop, +1)
+        up = np.asarray([st is StopReason.CONVERGED for st in tops[3]], dtype=bool)
+        put(todo[~up], tops, ~up, [st for st, u in zip(tops[3], up) if not u])
+        cols = todo[up]
+        down = _fixed_point_run(op, b[:, cols], tops[0][:, up], stop, -1, slack=stop.tol * np.maximum(1.0, caps[cols]))
         failed = np.asarray([isinstance(st, MonotoneStepError) for st in down[3]], dtype=bool)
         # a failed descent leaves its top, inconclusive, unless a later round decides the column
-        put(cols[failed], tops, failed.nonzero()[0], [StopReason.MAX_ITER] * int(failed.sum()))
+        put(cols[failed], tops, up.nonzero()[0][failed], [StopReason.MAX_ITER] * int(failed.sum()))
         caps[cols[failed]] *= 2.0
         todo, done = cols[failed], cols[~failed]
-        put(done, down, (~failed).nonzero()[0], [st for st, f in zip(down[3], failed) if not f])
+        put(done, down, ~failed, [st for st, f in zip(down[3], failed) if not f])
         low, _, _, low_status = _fixed_point_run(op, b[:, done], b[:, done], stop, +1)
         p = point[:, done]
         below = ~np.all(p >= low - 1e-8 * np.maximum(1.0, np.abs(p).max(axis=0)), axis=0)
@@ -449,7 +419,6 @@ def _max_fixed_points(op: GainOperator, b: np.ndarray, caps: np.ndarray, stop: S
                 status[c] = low_status[j]
             elif low_status[j] is StopReason.CONVERGED and below[j]:
                 status[c] = MonotoneStepError("maximal fixed point fell below the minimal one")
-        end = min([end] + [c for c in done if status[c] is not StopReason.CONVERGED])
     return _scan(point, its, res, status)
 
 
@@ -460,7 +429,7 @@ def min_fixed_point(net_or_op, b: np.ndarray, stop: StopRule = StopRule()) -> Fi
     reported as evidence against bounded invertibility rather than raised.
     """
     op, b = as_operator(net_or_op), np.asarray(b, dtype=float)
-    return _with_defect(op, b, _fixed_points(op, b[:, None], b[:, None], stop, direction=+1)[0])
+    return _with_defect(op, b, _fixed_points(op, b[:, None], stop)[0])
 
 
 def max_fixed_point(net_or_op, b: np.ndarray, r_cap: float | None = None, stop: StopRule = StopRule()) -> FixedPointResult:

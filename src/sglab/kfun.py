@@ -106,10 +106,10 @@ class KFun:
     def __call__(self, r):
         """Evaluate at ``r`` (scalar or array), exactly monotone in floats.
 
-        This is the checked entry point: a negative ``r`` raises ``ValueError``.
+        This is the checked entry point: a negative or NaN ``r`` raises ``ValueError``.
         """
         arr = np.asarray(r, dtype=float)
-        if (arr < 0).any():
+        if not (arr >= 0).all():  # NaN fails this test too
             raise ValueError("comparison functions are defined for r >= 0 only")
         out = self._eval(arr)
         if np.ndim(r) == 0:
@@ -119,7 +119,7 @@ class KFun:
     def _eval(self, arr: np.ndarray) -> np.ndarray:
         """Unchecked evaluation of a float array ``arr >= 0``, for callers
         whose input is already validated (``GainOperator``'s wrapper chain)."""
-        # xs[0] = 0 <= r and NaN sorts last, so idx lies in [0, len(xs) - 1]
+        # xs[0] = 0 <= r, so idx lies in [0, len(xs) - 1]
         idx = self.xs.searchsorted(arr, "right") - 1
         return np.minimum(self.ys[idx] + self._out_slopes[idx] * (arr - self.xs[idx]), self._caps[idx])
 

@@ -430,15 +430,10 @@ def cycle_gain_check(
             chain.append((b, step(chain[-1][0], b).compose(chain[-1][1]) if chain else identity()))
         f = step(cyc[-1], cyc[0]).compose(chain[-1][1])
         checked += 1
-        if f._out_slopes[0] >= 1.0:
-            r_bad = min(f.xs[1] if len(f.xs) > 1 else r_top, r_top) / 2.0
-            return SgcVerdict(
-                condition="cycle_gain",
-                status="fail",
-                counterexample={"cycle": list(cyc), "r": float(r_bad), "value": float(f(r_bad))},
-                samples=checked,
-            )
-        probes = np.concatenate([f.xs[1:][f.xs[1:] <= r_top], grid])
+        if f._out_slopes[0] >= 1.0:  # f(r) = slope * r >= r on the first segment: probe its midpoint
+            probes = np.asarray([min(f.xs[1] if len(f.xs) > 1 else r_top, r_top) / 2.0])
+        else:
+            probes = np.concatenate([f.xs[1:][f.xs[1:] <= r_top], grid])
         vals = f(probes)
         bad = vals >= probes
         if np.any(bad):

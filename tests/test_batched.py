@@ -397,14 +397,6 @@ class TestDriver:
                         assert same(alone[0][:, 0], want[0]) and alone[1][0] == want[1] and same(alone[2][0], want[2])
         assert seen == {StopReason.CONVERGED, StopReason.DIVERGED, StopReason.MAX_ITER, "monotone"}
 
-    def test_in_order_stops_at_the_first_failure(self):
-        g = KFun([0.0, 0.2], [0.0, 0.1], 2.0)  # crosses the identity at 0.3
-        op = as_operator(build_network(3, [(0, 1, g), (1, 2, g), (2, 0, g)], MAX))
-        grid = np.asarray([0.1, 0.2, 0.5, 0.25, 1.0])
-        b = np.ones((3, 5)) * grid
-        _, _, _, status = _run(op, b, 1000, 1e-10, 1e9 * grid + 1.0, +1, b, in_order=True)
-        assert status == [StopReason.CONVERGED, StopReason.CONVERGED, StopReason.DIVERGED, None, None]
-
     def test_states_and_norms(self, two_node_half):
         op = as_operator(two_node_half)
         states = []
@@ -474,7 +466,7 @@ class TestBatchedCallers:
 
         def scan(grid, stop):
             b = np.ones((2, len(grid))) * grid
-            return _fixed_points(Bouncing(), b, b, stop, +1)
+            return _fixed_points(Bouncing(), b, stop)
 
         # 2.0 is fixed at once; 0.4 climbs to 0.8 and falls back to its floor
         with pytest.raises(MonotoneStepError, match="failed to increase"):

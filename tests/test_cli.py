@@ -489,6 +489,40 @@ class TestHugeStart:
         assert main(["simulate", files["a"], "--start", "ray:1e299", "--steps", "3", "--out", str(tmp_path / "s.csv")]) == 0
 
 
+class TestUsageErrors:
+    """A usage error is unusable input: one ``input error:`` line on standard
+    error, nothing on standard output, and exit code 2 returned by ``main``."""
+
+    ARGVS = {
+        "bad-int": ["check", "{a}", "--budget", "x"],
+        "missing-start": ["simulate", "{a}"],
+        "bad-choice": ["path", "{a}", "--method", "nope"],
+        "path-seed": ["path", "{a}", "--seed", "3"],
+        "unknown-flag": ["check", "{a}", "--frobnicate"],
+        "no-command": [],
+        "unknown-command": ["frobnicate", "{a}"],
+    }
+
+    @pytest.mark.parametrize("case", list(ARGVS))
+    def test_one_line_and_exit_2(self, case, files, capsys):
+        code = main([arg.format(**files) for arg in self.ARGVS[case]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("input error: ")
+
+    def test_the_program_prints_one_line(self, files, tmp_path):
+        done = run_limited(["check", files["a"], "--budget", "x"], tmp_path)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == "input error: argument --budget: invalid int value: 'x'\n"
+
+    @pytest.mark.parametrize("argv", [["-h"], ["check", "--help"], ["path", "-h"]], ids=str)
+    def test_help_still_prints_and_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 0 and captured.out.startswith("usage: sglab") and captured.err == ""
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process; reusing it changes no result."""
 
@@ -515,8 +549,7 @@ class TestParserReuse:
         try:
             reused = [self.run(argv, capsys) for argv in argvs]
             assert len(built) == 1
-            with pytest.raises(SystemExit):  # an argparse error leaves the parser as it was
-                main(["simulate", files["a"]])
+            assert main(["simulate", files["a"]]) == 2  # a usage error leaves the parser as it was
             capsys.readouterr()
             reused.append(self.run(argvs[0], capsys))
             fresh = []

@@ -157,19 +157,6 @@ class TestApply:
         out = as_operator(net)(np.ones(3))
         assert out[0] == 0.0 and out[2] == 0.0 and out[1] == 0.5
 
-    def test_restricted_matches_subnetwork(self, chain10):
-        from sglab import subnetwork
-
-        nodes = [0, 1, 2, 3, 4]
-        op = as_operator(chain10).restricted(nodes)
-        sub = as_operator(subnetwork(chain10, nodes))
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            s = rng.uniform(0, 2, 10)
-            full = op(s)
-            assert np.all(full[5:] == 0)
-            np.testing.assert_array_equal(full[:5], sub(s[:5]))
-
     def test_index_mismatch(self, two_node_half):
         with pytest.raises(ValueError):
             as_operator(two_node_half)(np.ones(3))
