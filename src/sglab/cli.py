@@ -35,6 +35,7 @@ from .paths import (
 from .smallgain import (
     SamplerConfig,
     SgcVerdict,
+    _check_rays,
     cycle_gain_check,
     max_mbi_probe,
     nji_probe,
@@ -145,12 +146,13 @@ def cmd_check(args) -> int:
 
     cert.verdicts.append(nji_probe(net, rho, sampler))
     cert.verdicts.append(uniform_nji_probe(net, r=1.0, eps=0.25, rho=rho, sampler=sampler))
-    cert.verdicts.append(max_mbi_probe(net, rho, grid))
+    rays = _check_rays(net, rho, grid, 256)
+    cert.verdicts.append(max_mbi_probe(net, rho, grid, _rays=rays))
     if net.uniform_maf == "max":
         cert.verdicts.append(cycle_gain_check(net, rho, grid))
     if net.all_gains_linear and net.uniform_maf in ("max", "sum") and (rho is None or rho.is_linear):
         cert.verdicts.append(spectral_condition(net, rho=rho))
-    report = stability_battery(net, rho, grid)
+    report = stability_battery(net, rho, grid, _rays=rays)
     cert.stability = report.to_dict()
     if not report.ugas_evidence and report.inconclusive_r:
         cert.notes.append("stability battery inconclusive on some rays (iteration cap)")
@@ -164,8 +166,9 @@ def cmd_check(args) -> int:
             data_n = dict(data)
             data_n["nodes"] = n_trunc
             net_n, _ = network_from_dict(data_n)
-            rep = stability_battery(net_n, rho, grid, n_max=64)
-            mbi = max_mbi_probe(net_n, rho, grid)
+            rays_n = _check_rays(net_n, rho, grid, 64)
+            rep = stability_battery(net_n, rho, grid, n_max=64, _rays=rays_n)
+            mbi = max_mbi_probe(net_n, rho, grid, _rays=rays_n)
             rows.append(
                 {
                     "N": n_trunc,

@@ -18,14 +18,20 @@ steps: both increase, and ``t_k max T(t_k) = s max T(t_{k-1}) max T(t_k)
 
 Every iteration here (trajectories, fixed points and the stability
 battery's rays) goes through the one driver ``_run``, which steps a batch
-``(n, m)`` of columns, each with its own stop rule, and applies only the
-columns still running: the battery's ray table and augmented rays are one
-batch each, as are the ray fixed points behind ``max_mbi_probe``,
-``minimal_path`` and ``orbit_path``'s upward leg; ``combined_path``'s
-maximal fixed points take three batches per cap round (tops, descents,
-lower bounds); a single start is a batch of one.  Every column runs to
-its own stop.  Reading fixed points in grid order, up to the first ray
-that does not converge, is ``_scan``'s rule alone.
+``(n, m)`` of columns, each with its own stop rule and cap, and applies
+only the columns still running.  T acts on each column alone, bit for
+bit, so columns of different kinds can share a batch.  ``_ray_batch``
+runs the battery's ray table and the least fixed points above the rays
+as one batch; the battery reads its UGS rays (the augmented runs above)
+off those fixed points, capped at its own ``10 * n_max`` steps, and
+``check`` makes one such batch for the battery and ``max_mbi_probe``
+together, on the union of their grids.  The ray fixed points behind
+``minimal_path`` and ``orbit_path``'s upward leg are one batch each;
+``combined_path``'s maximal fixed points take three batches per cap
+round (tops, one per distinct cap; descents; lower bounds); a single
+start is a batch of one.  Every column runs to its own stop.  Reading
+fixed points in grid order, up to the first ray that does not converge,
+is ``_scan``'s rule alone.
 Every application goes through ``_base_apply``, which evaluates all max
 and sum edges at once from one knot table per network (the distinct
 gains' knots merged into one grid, with a segment rank per gain).
@@ -252,13 +258,18 @@ def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norm
     Each column steps ``s <- op(s)`` (``s <- floor max op(s)`` when a floor
     of shape ``(n, m)`` or ``(1, m)`` is given) until its own stop rule
     fires, and is then frozen; only the active columns are applied.
-    ``tol``, ``bound`` and ``slack`` are scalars or ``(m,)`` arrays.  Divergence (sup norm above
-    ``bound``) is tested before convergence (sup-norm step at most
-    ``tol``).  ``direction`` +1 (-1) asserts an increasing (decreasing)
-    column up to ``slack`` plus ``1e-12`` times the largest norm it has had; a column
-    failing that stops with a ``MonotoneStepError`` as its status.
-    ``states``, when given, receives every new active batch, and
-    ``norms[k, it]`` the norm of column ``k`` after step ``it``.
+    ``max_iter``, ``tol``, ``bound``, ``direction`` and ``slack`` are
+    scalars or ``(m,)`` arrays.  Divergence (sup norm above ``bound``) is
+    tested before convergence (sup-norm step at most ``tol``), and both
+    before the column's cap ``max_iter``, which is tested only at the
+    steps where some column reaches it.  ``direction`` +1 (-1) asserts
+    an increasing (decreasing) column up to ``slack`` plus ``1e-12`` times
+    the largest norm it has had; a column failing that stops with a
+    ``MonotoneStepError`` as its status.  Once no active column has a
+    direction or a nonzero floor, the floor and the monotone test are no
+    longer applied.  ``states``, when given, receives every new active
+    batch, and ``norms[k, it]`` the norm of column ``k`` after step ``it``
+    for every ``it`` below ``norms.shape[1]``.
     Returns per column (point, iterations, residual, status); the status
     is a ``StopReason`` or a ``MonotoneStepError``, and the residual is
     the last step, or the norm at divergence.
@@ -266,54 +277,60 @@ def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norm
     m = s.shape[1]
     point = s.copy()
     its = np.zeros(m, dtype=int)
-    res = step = np.full(m, np.inf)
+    res = np.full(m, np.inf)
     status: list = [StopReason.MAX_ITER] * m
     if m == 0:
         return point, its, res, status
     act, cur, fl = np.arange(m), s, floor
-    tl, bd, sl = np.zeros(m) + tol, np.zeros(m) + bound, np.zeros(m) + slack
-    scale = np.maximum(1.0, np.abs(s).max(axis=0)) if direction else None
-    for it in range(1, max_iter + 1):
+    cap, tl, bd = np.zeros(m, dtype=int) + max_iter, np.zeros(m) + tol, np.zeros(m) + bound
+    dr, sl = np.zeros(m) + direction, np.zeros(m) + slack
+    gate = dr != 0 if floor is None else (dr != 0) | np.logical_or.reduce(floor != 0, axis=0)
+    gated = bool(gate.any())
+    scale = np.maximum(1.0, np.abs(s).max(axis=0)) if gated else None
+    recorded = 0 if norms is None else norms.shape[1]
+    stops = set(cap.tolist())  # the steps at which some column reaches its cap
+    for it in range(1, int(cap.max()) + 1):
         nxt = op(cur)
-        if fl is not None:
+        if gated and fl is not None:
             nxt = np.maximum(fl, nxt)
         drift = nxt - cur
-        if direction:
-            lim = 1e-12 * scale + sl
-            wrong = (drift < -lim) if direction > 0 else (drift > lim)
-            failed = np.logical_or.reduce(wrong, axis=0)
         step = np.maximum.reduce(np.abs(drift), axis=0)
         norm = np.maximum.reduce(np.abs(nxt), axis=0)
         if states is not None:
             states.append(nxt)
-        if norms is not None:
+        if it < recorded:
             norms[act, it] = norm
         diverged = norm > bd
-        done = diverged | (step <= tl)
-        if direction:
+        converged = step <= tl
+        if gated:
+            # -drift < -lim is drift > lim exactly; a column without a direction never fails
+            failed = np.logical_or.reduce(drift * dr < -(1e-12 * scale + sl), axis=0)
             scale = np.maximum(scale, norm)
             diverged |= failed
-            done |= failed
+        done = diverged | converged
+        if it in stops:
+            done |= it >= cap
         if np.count_nonzero(done):
             for k in done.nonzero()[0]:
                 c = act[k]
                 point[:, c], its[c], res[c] = nxt[:, k], it, norm[k] if diverged[k] else step[k]
-                if direction and failed[k]:
-                    word = "increase" if direction > 0 else "decrease"
+                if gated and failed[k]:
+                    word = "increase" if dr[k] > 0 else "decrease"
                     status[c] = MonotoneStepError(f"projected trajectory failed to {word}")
-                else:
-                    status[c] = StopReason.DIVERGED if diverged[k] else StopReason.CONVERGED
+                elif diverged[k]:
+                    status[c] = StopReason.DIVERGED
+                elif converged[k]:
+                    status[c] = StopReason.CONVERGED
             keep = (~done).nonzero()[0]
             if not keep.size:
                 break
-            act, nxt, step, tl, bd, sl = act[keep], nxt[:, keep], step[keep], tl[keep], bd[keep], sl[keep]
-            if direction:
-                scale = scale[keep]
-            if fl is not None:
-                fl = fl[:, keep]
+            act, nxt, cap, tl, bd = act[keep], nxt[:, keep], cap[keep], tl[keep], bd[keep]
+            if gated:
+                gate, dr, sl, scale = gate[keep], dr[keep], sl[keep], scale[keep]
+                if fl is not None:
+                    fl = fl[:, keep]
+                gated = bool(gate.any())
         cur = nxt
-    else:
-        point[:, act], its[act], res[act] = cur, max_iter, step
     return point, its, res, status
 
 
@@ -378,13 +395,13 @@ def _max_fixed_points(op: GainOperator, b: np.ndarray, caps: np.ndarray, stop: S
     from its cap in ``caps``, run as column batches and read by ``_scan``.
 
     Each cap round is three batches: the tops (minimal fixed points above
-    the cap rays), the descents from the converged tops and the minimal
-    fixed points above ``b`` that bound the descents from below.  An
-    unconverged top is the column's result.  Only a column whose descent
-    fails its monotone check goes into the next round, with its cap
-    doubled.  The descent's slack covers the top's tolerance: a top is a
-    fixed point only up to that tolerance, so the first descent step may
-    rise by about as much.
+    the cap rays, one per distinct cap), the descents from the converged
+    tops and the minimal fixed points above ``b`` that bound the descents
+    from below.  An unconverged top is the column's result.  Only a
+    column whose descent fails its monotone check goes into the next
+    round, with its cap doubled.  The descent's slack covers the top's
+    tolerance: a top is a fixed point only up to that tolerance, so the
+    first descent step may rise by about as much.
     """
     n, m = b.shape
     point, its, res, status = np.zeros((n, m)), np.zeros(m, dtype=int), np.zeros(m), [None] * m
@@ -399,8 +416,11 @@ def _max_fixed_points(op: GainOperator, b: np.ndarray, caps: np.ndarray, stop: S
     for _ in range(_CAP_DOUBLINGS + 1):
         if not todo.size:
             break
-        rays = np.ones((n, len(todo))) * caps[todo]
-        tops = _fixed_point_run(op, rays, rays, stop, +1)
+        # one top per distinct cap: every knot r <= 1 of combined_path has cap 2
+        distinct, which = np.unique(caps[todo], return_inverse=True)
+        rays = np.ones((n, len(distinct))) * distinct
+        run = _fixed_point_run(op, rays, rays, stop, +1)
+        tops = run[0][:, which], run[1][which], run[2][which], [run[3][j] for j in which]
         up = np.asarray([st is StopReason.CONVERGED for st in tops[3]], dtype=bool)
         put(todo[~up], tops, ~up, [st for st, u in zip(tops[3], up) if not u])
         cols = todo[up]
@@ -516,41 +536,91 @@ class StabilityReport:
         }
 
 
+def _battery_grid(r_grid: Sequence[float] | None) -> np.ndarray:
+    """The battery's rays: ``r_grid`` sorted, by default ``2**k`` for ``k`` in ``-8..8``."""
+    if r_grid is None:
+        r_grid = [2.0**k for k in range(-8, 9)]
+    r_grid = np.asarray(sorted(float(r) for r in r_grid))
+    if len(r_grid) == 0:
+        raise ValueError("r_grid must be nonempty")
+    return r_grid
+
+
+@dataclass(frozen=True)
+class _Rays:
+    """A ``_ray_batch``: the table's norms, and the least-fixed-point columns
+    ``(point, iterations, residual, status)`` on the sorted, distinct ``fp_grid``."""
+
+    kl: np.ndarray
+    fp_grid: np.ndarray
+    fp: tuple
+
+    def fixed_points(self, r_grid: Sequence[float]) -> tuple:
+        """The least-fixed-point columns of the sorted ``r_grid``, each of whose rays is in ``fp_grid``."""
+        k = np.searchsorted(self.fp_grid, r_grid)
+        point, its, res, status = self.fp
+        return point[:, k], its[k], res[k], [status[j] for j in k]
+
+
+def _ray_batch(op: GainOperator, table_grid: np.ndarray, n_max: int, fp_grid: np.ndarray, fp_cap: int, stop: StopRule) -> _Rays:
+    """One ``_run`` batch of rays ``r * ones``: table columns ``T^k(r * ones)``
+    for ``table_grid`` (tol 0, bound 1e30, cap ``n_max``, norms recorded),
+    and least-fixed-point columns ``s <- r * ones max T(s)`` for ``fp_grid``
+    (increasing step asserted, ``stop``'s tolerance and bound, cap
+    ``fp_cap``).  T acts on each column alone, bit for bit, so each column
+    ends as a batch of its own kind would end it.  Tol 0 stops a table ray
+    only at an exact fixed point and 1e30 at hopeless growth; either way
+    its last norm fills the rest of its row.
+    """
+    t, grid = len(table_grid), np.concatenate((table_grid, fp_grid))
+    cols = len(grid)
+    kl = np.zeros((cols, n_max + 1))
+    kl[:, 0] = grid
+    tol = np.concatenate((np.zeros(t), stop.tol * np.maximum(1.0, fp_grid)))
+    bound = np.concatenate((np.full(t, 1e30), np.zeros(len(fp_grid)) + stop.bound_for(fp_grid[None, :])))
+    cap = np.concatenate((np.full(t, n_max), np.full(len(fp_grid), fp_cap)))
+    floor = np.concatenate((np.zeros(t), fp_grid))[None, :]
+    direction = np.concatenate((np.zeros(t), np.ones(len(fp_grid))))
+    point, its, res, status = _run(op, np.ones((op.n, cols)) * grid, cap, tol, bound, direction, floor, norms=kl)
+    kl = np.where(np.arange(n_max + 1) <= its[:t, None], kl[:t], kl[np.arange(t), its[:t]][:, None])
+    return _Rays(kl, fp_grid, (point[:, t:], its[t:], res[t:], status[t:]))
+
+
 def stability_battery(
     net_or_op,
     rho: KFun | None = None,
     r_grid: Sequence[float] | None = None,
     n_max: int = 256,
     stop: StopRule = StopRule(),
+    *,
+    _rays: _Rays | None = None,
 ) -> StabilityReport:
     """Tabulate ray trajectories and classify UGS/GATT/UGAS evidence.
 
     Rays decay (GATT at level r) when the trajectory norm falls below
-    ``1e-8 * max(1, r)`` within ``n_max`` steps; the augmented
-    iteration must stay bounded for UGS.  Undecided rays (cap hit without
-    divergence) are reported as inconclusive, not as failures.
+    ``1e-8 * max(1, r)`` within ``n_max`` steps.  UGS asks the augmented
+    iteration from each ray to stay bounded; that run is the least-fixed-
+    point run above the ray (module docstring), read off one
+    ``_ray_batch`` with the table (``check`` passes its shared batch as
+    ``_rays``).  A ray is decided only within ``10 * n_max`` steps (or
+    ``stop.max_iter``); undecided rays are inconclusive, not failures.
+    The two runs agree bit for bit only where T is exactly monotone in
+    floating point, as it is for PL gains under max or sum aggregation; a
+    custom aggregation whose step falls (the increasing step is asserted)
+    leaves that ray inconclusive.
     """
     op = as_operator(net_or_op, rho)
-    if r_grid is None:
-        r_grid = np.asarray([2.0**k for k in range(-8, 9)], dtype=float)
-    r_grid = np.asarray(sorted(float(r) for r in r_grid))
-    if len(r_grid) == 0:
-        raise ValueError("r_grid must be nonempty")
-    m = len(r_grid)
-    aug_stop = StopRule(min(stop.max_iter, 10 * n_max), stop.tol, stop.divergence_bound)
-    rays = np.ones((op.n, m)) * r_grid
-    # tol 0 stops a ray only at an exact fixed point (its norm then repeats) and
-    # 1e30 at hopeless growth; either way its last norm fills the rest of its row
-    kl = np.zeros((m, n_max + 1))
-    kl[:, 0] = r_grid
-    _, its, _, _ = _run(op, rays, n_max, 0.0, 1e30, norms=kl)
-    kl = np.where(np.arange(n_max + 1) <= its[:, None], kl, kl[np.arange(m), its][:, None])
+    r_grid = _battery_grid(r_grid)
+    ugs_cap = min(stop.max_iter, 10 * n_max)
+    if ugs_cap <= 0:
+        raise ValueError("stop parameters must be positive")
+    rays = _ray_batch(op, r_grid, n_max, r_grid, ugs_cap, stop) if _rays is None else _rays
+    kl = rays.kl
     gatt = [bool(g) for g in np.any(kl[:, 1:] <= 1e-8 * np.maximum(1.0, r_grid)[:, None], axis=1)]
-    # augmented iteration: increasing, so its limit norm is the running sup
-    tol = stop.tol * np.maximum(1.0, r_grid)
-    point, _, _, status = _run(op.augmented(), rays, aug_stop.max_iter, tol, aug_stop.bound_for(rays))
-    ugs = [st is StopReason.CONVERGED for st in status]
-    inconclusive = [float(r) for r, st in zip(r_grid, status) if st is StopReason.MAX_ITER]
+    point, its, _, status = rays.fixed_points(r_grid)
+    decided = [k <= ugs_cap and st in (StopReason.CONVERGED, StopReason.DIVERGED) for k, st in zip(its, status)]
+    ugs = [d and st is StopReason.CONVERGED for d, st in zip(decided, status)]
+    inconclusive = [float(r) for r, d in zip(r_grid, decided) if not d]
     env = None
     if all(ugs):
         # the limits converge only to tol, so their norms can dip from one ray to the next

@@ -25,7 +25,7 @@ import numpy as np
 
 from .cone import coercivity_check, sup_norm
 # min_fixed_point stays bound here: perfbench/spans.py traces it under this module's name
-from .dynamics import StopReason, StopRule, _ray_fixed_points, as_operator, cofinality_witness, min_fixed_point  # noqa: F401
+from .dynamics import StopReason, StopRule, _battery_grid, _ray_batch, _Rays, _scan, as_operator, cofinality_witness, min_fixed_point  # noqa: F401
 from .kfun import KFun, MonotoneSamples, Side, compose_power, envelope, id_plus, identity
 from .network import GainNetwork, _simple_cycles, graph_diameter, is_strongly_connected, neighborhood
 
@@ -348,25 +348,43 @@ def uniform_nji_probe(
     )
 
 
+def _mbi_grid(r_grid: Sequence[float] | None) -> list[float]:
+    """``max_mbi_probe``'s rays: ``r_grid`` sorted, by default ``2**k`` for ``k`` in ``-10..10``."""
+    if r_grid is None:
+        r_grid = [2.0**k for k in range(-10, 11)]
+    return sorted(float(r) for r in r_grid)
+
+
+def _check_rays(net: GainNetwork, rho: KFun | None, r_grid: Sequence[float] | None, n_max: int) -> _Rays:
+    """``check``'s one ray batch: ``stability_battery``'s table on its grid, and
+    the least fixed points on the union of its grid and ``max_mbi_probe``'s,
+    to ``StopRule()``'s cap; both read it as ``_rays``."""
+    table, stop = _battery_grid(r_grid), StopRule()
+    return _ray_batch(as_operator(net, rho), table, n_max, np.union1d(table, _mbi_grid(r_grid)), stop.max_iter, stop)
+
+
 def max_mbi_probe(
     net: GainNetwork,
     rho: KFun | None = None,
     r_grid: Sequence[float] | None = None,
     stop: StopRule = StopRule(),
+    *,
+    _rays: _Rays | None = None,
 ) -> SgcVerdict:
     """Bounded-invertibility probe along the ray directions.
 
     Ray floors suffice for this property, so the probe grows the minimal
     fixed point above each grid ray; divergence is a counterexample, and
     otherwise the norms are wrapped in an increasing PL majorant (the
-    invertibility bound fit).
+    invertibility bound fit).  The rays are one ``_ray_batch`` without
+    table columns, or ``check``'s shared batch passed as ``_rays``; the
+    verdict is read off them by ``_scan``.
     """
-    op = as_operator(net, rho)
-    if r_grid is None:
-        r_grid = [2.0**k for k in range(-10, 11)]
-    r_grid = sorted(float(r) for r in r_grid)
+    r_grid = _mbi_grid(r_grid)
+    if _rays is None:
+        _rays = _ray_batch(as_operator(net, rho), np.empty(0), 0, np.unique(r_grid), stop.max_iter, stop)
     pairs = [(0.0, 0.0)]
-    for r, res in zip(r_grid, _ray_fixed_points(op, r_grid, stop)):
+    for r, res in zip(r_grid, _scan(*_rays.fixed_points(r_grid))):
         if res.status is StopReason.DIVERGED:
             return SgcVerdict(
                 condition="max_mbi",

@@ -10,18 +10,23 @@ upward rays and step their gaps one at a time through it and through
 ``projected`` operators.  ``serial_max_fixed_point`` is the knot-by-knot
 cap escalation that ``combined_path``'s main knots ran before they were
 batched, with the descent's slack covering the top's tolerance.
+``frozen_battery`` and ``frozen_mbi`` are the stability battery (its
+ray table and augmented rays as two runs) and ``max_mbi_probe`` (ray by
+ray) as they ran before ``check``'s rays became one batch.
 Batched results must match them bit for bit, including the first
 failure a grid scan reports.
 """
 
+import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sglab.paths as paths_mod
-import sglab.smallgain as smallgain_mod
 from sglab import (
     MAX,
     SUM,
@@ -31,7 +36,9 @@ from sglab import (
     MonotoneSamples,
     MonotoneStepError,
     PathConstructionError,
+    SgcVerdict,
     Side,
+    StabilityReport,
     StopReason,
     StopRule,
     as_operator,
@@ -47,6 +54,7 @@ from sglab import (
     linear,
     max_mbi_probe,
     minimal_path,
+    network_from_dict,
     orbit_path,
     regularize,
     stability_battery,
@@ -54,9 +62,11 @@ from sglab import (
     sup_norm,
     validate,
 )
-from sglab.dynamics import _fixed_points, _max_fixed_points, _run
+from sglab.dynamics import GainOperator, _fixed_points, _max_fixed_points, _run
 from conftest import random_kfun, random_network
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+WALL = re.compile(rb'"wall_seconds": [^\s,}]+')
 L2 = MafSpec("custom", func=lambda v: float(np.sqrt(np.sum(v * v))), modulus=linear(3.0), xi=identity())
 
 
@@ -443,10 +453,9 @@ class TestBatchedCallers:
             for grid in GRIDS:
                 got_mbi = max_mbi_probe(net, rho, grid, stop).to_dict()
                 got_path = _path_outcome(net, rho, grid, stop)
+                assert got_mbi == frozen_mbi(net, rho, grid, stop).to_dict()
                 with monkeypatch.context() as mp:
-                    mp.setattr(smallgain_mod, "_ray_fixed_points", serial_ray_fixed_points)
                     mp.setattr(paths_mod, "_ray_fixed_points", serial_ray_fixed_points)
-                    assert got_mbi == max_mbi_probe(net, rho, grid, stop).to_dict()
                     want_path = _path_outcome(net, rho, grid, stop)
                 if isinstance(want_path, tuple):
                     assert got_path == want_path
@@ -687,3 +696,226 @@ def random_path(rng, n, rho):
     steps = rng.uniform(0.0, 1.0, size=(k, n)) * r_grid[1:, None].clip(max=1.0) + 0.01
     points = np.vstack([np.zeros(n), np.cumsum(steps, axis=0) * rng.uniform(0.3, 1.5)])
     return DecayPath(r_grid, points, rho, linear(float(rng.uniform(0.01, 0.5))), linear(float(rng.uniform(1.0, 6.0))))
+
+
+def frozen_battery(net_or_op, rho=None, r_grid=None, n_max=256, stop=StopRule(), **_):
+    """``stability_battery`` as it ran before its rays shared a batch: a ray
+    table run, and an augmented run capped at ``10 * n_max`` steps for UGS."""
+    op = as_operator(net_or_op, rho)
+    r_grid = np.asarray(sorted(float(r) for r in (r_grid if r_grid is not None else [2.0**k for k in range(-8, 9)])))
+    m = len(r_grid)
+    aug_stop = StopRule(min(stop.max_iter, 10 * n_max), stop.tol, stop.divergence_bound)
+    rays = np.ones((op.n, m)) * r_grid
+    kl = np.zeros((m, n_max + 1))
+    kl[:, 0] = r_grid
+    _, its, _, _ = _run(op, rays, n_max, 0.0, 1e30, norms=kl)
+    kl = np.where(np.arange(n_max + 1) <= its[:, None], kl, kl[np.arange(m), its][:, None])
+    gatt = [bool(g) for g in np.any(kl[:, 1:] <= 1e-8 * np.maximum(1.0, r_grid)[:, None], axis=1)]
+    tol = stop.tol * np.maximum(1.0, r_grid)
+    point, _, _, status = _run(op.augmented(), rays, aug_stop.max_iter, tol, aug_stop.bound_for(rays))
+    ugs = [st is StopReason.CONVERGED for st in status]
+    inconclusive = [float(r) for r, st in zip(r_grid, status) if st is StopReason.MAX_ITER]
+    env = None
+    if all(ugs):
+        aug_sup = np.maximum.accumulate(np.abs(point).max(axis=0, initial=0.0))
+        env = envelope(MonotoneSamples(np.concatenate(([0.0], r_grid)), np.concatenate(([0.0], aug_sup))), Side.ABOVE)
+    return StabilityReport(r_grid, n_max, kl, gatt, ugs, inconclusive, env, all(gatt), all(ugs), all(gatt) and all(ugs))
+
+
+def frozen_mbi(net, rho=None, r_grid=None, stop=StopRule(), **_):
+    """``max_mbi_probe`` with its own rays, grown one ``min_fixed_point`` at a time."""
+    r_grid = sorted(float(r) for r in (r_grid if r_grid is not None else [2.0**k for k in range(-10, 11)]))
+    op, pairs = as_operator(net, rho), [(0.0, 0.0)]
+    for r in r_grid:
+        point, its, _, status = serial_min_fixed_point(op, r * np.ones(op.n), stop)
+        if status is StopReason.DIVERGED:
+            return SgcVerdict(condition="max_mbi", status="fail", counterexample={"r": r, "norm_reached": sup_norm(point), "iterations": its})
+        if status is StopReason.MAX_ITER:
+            note = "iteration cap hit before convergence or divergence"
+            return SgcVerdict(condition="max_mbi", status="inconclusive", witness={"r": r, "iterations": its}, note=note)
+        pairs.append((r, sup_norm(point)))
+    zs = np.maximum.accumulate(np.asarray([z for _, z in pairs]))
+    phi = envelope(MonotoneSamples(np.asarray([p for p, _ in pairs]), zs), Side.ABOVE)
+    fit = {"xs": phi.xs.tolist(), "ys": phi.ys.tolist(), "final_slope": phi.final_slope}
+    return SgcVerdict(condition="max_mbi", status="evidence", witness={"phi_fit": fit, "r_grid": list(r_grid)}, samples=len(r_grid))
+
+
+def pl_gain(slope_to_1, final_slope):
+    return {"type": "pl", "points": [[0.0, 0.0], [1.0, slope_to_1]], "final_slope": final_slope}
+
+
+def edge_file(nodes, maf, edges):
+    return {"nodes": nodes, "maf": maf, "edges": [{"from": j, "to": i, "gain": g} for j, i, g in edges]}
+
+
+def rho_sum3(rho=1.06):
+    """A linear sum network on a 3-ring with chords whose gain matrix has spectral radius ``rho``."""
+    pairs = [(0, 1), (1, 2), (2, 0), (0, 2), (1, 0)]
+    weights = np.asarray([0.9, 0.6, 0.8, 0.4, 0.5])
+    a = np.zeros((3, 3))
+    for (j, i), w in zip(pairs, weights):
+        a[i, j] = w
+    weights = weights * rho / float(np.max(np.abs(np.linalg.eigvals(a))))
+    return edge_file(3, "sum", [(j, i, {"type": "linear", "k": float(w)}) for (j, i), w in zip(pairs, weights)])
+
+
+# the rays above r = 1 climb through slope 2 on [0, 1] and then creep at slope
+# 0.99 to the fixed point 101 (converging after about 5,000 steps), or at
+# slope 1.01 past the divergence bound (after about 4,000 steps): either way
+# beyond the 2,560 steps of check's battery, and within StopRule's cap
+CHECK_NETS = {
+    "nearcrit": edge_file(3, "sum", [(0, 1, {"type": "linear", "k": 0.9995}), (1, 0, {"type": "linear", "k": 0.9995}), (0, 2, {"type": "linear", "k": 1000.0})]),
+    "rho_sum3": rho_sum3(),
+    "creep_converges": edge_file(2, "max", [(0, 1, pl_gain(2.0, 0.99)), (1, 0, {"type": "linear", "k": 1.0})]),
+    "creep_diverges": edge_file(2, "max", [(0, 1, pl_gain(2.0, 1.01)), (1, 0, {"type": "linear", "k": 1.0})]),
+}
+SWEEP = {"nodes": 8, "maf": "sum", "template": {"offsets": [{"offset": -1, "gain": {"type": "linear", "k": 0.55}}, {"offset": 1, "gain": pl_gain(0.4, 0.45)}]}}
+
+
+class TestCheckRayBatch:
+    """``check``'s one ray batch against the battery and ``max_mbi`` as their
+    own separate runs made them: the same certificate bytes, and
+    ``StabilityReport.to_dict()`` and ``max_mbi`` verdict."""
+
+    def check_bytes(self, tmp_path, monkeypatch, data, flags=()):
+        import sglab.cli as cli_mod
+
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(data))
+        certs = []
+        for frozen in (False, True):
+            with monkeypatch.context() as mp:
+                if frozen:
+                    mp.setattr(cli_mod, "stability_battery", frozen_battery)
+                    mp.setattr(cli_mod, "max_mbi_probe", frozen_mbi)
+                out = tmp_path / f"cert-{frozen}.json"
+                code = cli_mod.main(["check", str(path), "--budget", "50", "--out", str(out), *flags])
+            certs.append((code, WALL.sub(b"", out.read_bytes())))
+        assert certs[0] == certs[1]
+        return json.loads(certs[0][1])
+
+    @pytest.mark.parametrize("name", ["nearcrit", "rho_sum3"])
+    def test_default_grids(self, name, tmp_path, monkeypatch):
+        cert = self.check_bytes(tmp_path, monkeypatch, CHECK_NETS[name])
+        mbi = next(v for v in cert["verdicts"] if v["condition"] == "max_mbi")
+        assert mbi["status"] == ("evidence" if name == "nearcrit" else "fail")
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.json")))
+    def test_golden_networks(self, name, tmp_path, monkeypatch):
+        data = json.loads((GOLDEN / f"{name}.json").read_text())
+        self.check_bytes(tmp_path, monkeypatch, data)
+        self.check_bytes(tmp_path, monkeypatch, data, ["--grid", "geometric:-3:3", "--rho", "linear:0.2"])
+
+    @pytest.mark.parametrize("name,mbi_status", [("creep_converges", "evidence"), ("creep_diverges", "fail")])
+    def test_rays_decided_after_the_battery_cap(self, name, mbi_status, tmp_path, monkeypatch):
+        cert = self.check_bytes(tmp_path, monkeypatch, CHECK_NETS[name], ["--grid", "geometric:0:2"])
+        mbi = next(v for v in cert["verdicts"] if v["condition"] == "max_mbi")
+        assert mbi["status"] == mbi_status
+        # the battery stops at 10 * 256 steps: every ray is undecided there, not a failure
+        assert cert["stability"]["inconclusive_r"] == [1.0, 2.0, 4.0] and not any(cert["stability"]["ugs_per_r"])
+        if mbi_status == "fail":
+            assert mbi["counterexample"]["iterations"] > 2560
+
+    def test_truncation_sweep(self, tmp_path, monkeypatch):
+        cert = self.check_bytes(tmp_path, monkeypatch, SWEEP, ["--N", "4", "--N", "30"])
+        assert [row["N"] for row in cert["extras"]["truncation_sweep"]] == [4, 30]
+        cert = self.check_bytes(tmp_path, monkeypatch, SWEEP, ["--N", "6", "--grid", "geometric:-2:3"])
+        assert len(cert["extras"]["truncation_sweep"]) == 1
+
+    @pytest.mark.parametrize("n_max", [64, 256])
+    def test_reports_and_verdicts(self, n_max):
+        """The shared batch's reports at both of check's table lengths, the UGS
+        rays capped at 10 * n_max: a ray that converges or diverges between
+        640 and 2,560 steps is decided at 256 and inconclusive at 64."""
+        import sglab.cli as cli_mod
+
+        # without rho its rays below 51 converge after 1,800 to 2,300 steps
+        slow = network_from_dict(edge_file(2, "max", [(0, 1, pl_gain(2.0, 0.98)), (1, 0, {"type": "linear", "k": 1.0})]))[0]
+        # custom (L2) aggregation, one network partly UGS and one with an envelope:
+        # T is monotone in floating point, so the asserted increasing step holds
+        custom = [crossing_network(np.random.default_rng(seed), L2) for seed in (1, 2)]
+        outcomes = {}
+        for net in [network_from_dict(CHECK_NETS["nearcrit"])[0], network_from_dict(CHECK_NETS["rho_sum3"])[0], slow, *custom]:
+            for rho, grid in [(None, None), (linear(0.05), default_knots(-2, 3))]:
+                rays = cli_mod._check_rays(net, rho, grid, n_max)
+                got = stability_battery(net, rho, grid, n_max, _rays=rays)
+                want = frozen_battery(net, rho, grid, n_max)
+                assert got.to_dict() == want.to_dict()
+                if want.ugs_envelope is None:
+                    assert got.ugs_envelope is None
+                else:
+                    assert same(got.ugs_envelope.xs, want.ugs_envelope.xs) and same(got.ugs_envelope.ys, want.ugs_envelope.ys)
+                assert max_mbi_probe(net, rho, grid, _rays=rays).to_dict() == frozen_mbi(net, rho, grid).to_dict()
+                # called alone, the battery gives the same report
+                assert stability_battery(net, rho, grid, n_max).to_dict() == got.to_dict()
+                outcomes[net is slow, rho is None] = got.inconclusive_r
+        assert bool(outcomes[True, True]) == (n_max == 64)
+
+    def test_applications_are_the_slowest_column(self, tmp_path, monkeypatch):
+        """On a rho(A) = 1.06 sum network, check's battery and max_mbi stage applies
+        T as often as its longest column steps: the 256-step table or the
+        slowest least-fixed-point ray, not the sum of three runs."""
+        import sglab.cli as cli_mod
+
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(CHECK_NETS["rho_sum3"]))
+        calls, inside = [0], [0]
+        real_call = GainOperator.__call__
+
+        def counted(self, s):
+            calls[0] += inside[0] > 0
+            return real_call(self, s)
+
+        def stage(fn):
+            def run(*args, **kwargs):
+                inside[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside[0] -= 1
+
+            return run
+
+        monkeypatch.setattr(GainOperator, "__call__", counted)
+        for name in ("_check_rays", "stability_battery", "max_mbi_probe"):
+            monkeypatch.setattr(cli_mod, name, stage(getattr(cli_mod, name)))
+        assert cli_mod.main(["check", str(path), "--budget", "50", "--out", str(tmp_path / "cert.json")]) == 1
+        monkeypatch.undo()
+        op = as_operator(network_from_dict(CHECK_NETS["rho_sum3"])[0])
+        slowest = max(serial_min_fixed_point(op, r * np.ones(3), StopRule())[1] for r in default_knots(-10, 10))
+        assert slowest > 256 and calls[0] == slowest
+
+
+class TestDistinctTops:
+    """``_max_fixed_points`` runs one top per distinct cap and matches the
+    knot-by-knot ``serial_max_fixed_point`` wherever that serial loop succeeds."""
+
+    def test_one_top_per_cap(self):
+        checked = 0
+        for net in random_networks(95, 24):
+            op = as_operator(net)
+            grid = default_knots(-10, 10)
+            b = np.ones((op.n, len(grid))) * grid
+            caps = 2.0 * np.maximum(grid, 1.0)
+            widths = []
+
+            class Recorded:
+                n = op.n
+
+                def __call__(self, s):
+                    widths.append(s.shape[1])
+                    return op(s)
+
+            try:
+                want, error = serial_max_scan(op, b, StopRule())
+            except MonotoneStepError:
+                continue
+            if error is not None:
+                continue
+            got = _max_fixed_points(Recorded(), b, caps, StopRule())
+            assert widths[0] == len(np.unique(caps)) == 11
+            assert len(got) == len(want)
+            for res, (point, its, status, _) in zip(got, want):
+                assert same(res.point, point) and res.iterations == its and res.status is status
+            checked += 1
+        assert checked >= 10

@@ -39,3 +39,20 @@ def test_differences_mask_only_the_wall_time(tmp_path):
         "exit code 0 -> 1: check OUT/work/net.json",
         "log: check OUT/work/net.json",
     ]
+
+
+def test_every_workload_at_every_seed(monkeypatch, capsys):
+    pairs = []
+
+    def compare(parent, change, workload, seed):
+        pairs.append((workload, seed))
+        print(f"{workload} seed {seed}")
+        return {("refute", 2): 1}.get((workload, seed), 0)
+
+    monkeypatch.setattr(same_bytes, "compare", compare)
+    argv = ["P", "C", "--workload", "fleet", "--workload", "refute", "--workload", "lattice", "--seed", "1", "--seed", "2"]
+    assert same_bytes.main(argv) == 1
+    assert pairs == [(w, s) for w in ("fleet", "refute", "lattice") for s in (1, 2)]
+    assert capsys.readouterr().out.splitlines() == [f"{w} seed {s}" for w, s in pairs]
+    pairs.clear()
+    assert same_bytes.main(["P", "C", "--workload", "fleet", "--seed", "3"]) == 0 and pairs == [("fleet", 3)]

@@ -1,21 +1,25 @@
 """Compare one benchmark round of two checkouts: output bytes and operator work.
 
     python3 tools/same_bytes.py PARENT CHANGE --workload fleet --seed 1
+    python3 tools/same_bytes.py PARENT CHANGE --workload fleet --workload refute --seed 1 --seed 2
 
 PARENT and CHANGE are checkouts of the repository (a ``git archive`` or
-``git clone`` copy, or the working tree).  For each, a fresh interpreter
-imports that checkout's ``perfbench/gen.py`` and ``perfbench/run.py``
-unchanged, writes the workload's network files for ``--seed`` and runs one
-round of the workload's commands through ``run.run_round``, with sglab
-imported from the checkout's ``src/``.  While the round runs, every
-``GainOperator.__call__`` is counted, with its columns, per command kind.
+``git clone`` copy, or the working tree).  ``--workload`` and ``--seed``
+repeat; every workload is compared at every seed.  For each pair and
+checkout, a fresh interpreter imports that checkout's ``perfbench/gen.py``
+and ``perfbench/run.py`` unchanged, writes the workload's network files
+for the seed and runs one round of the workload's commands through
+``run.run_round``, with sglab imported from the checkout's ``src/``.
+While the round runs, every ``GainOperator.__call__`` is counted, with
+its columns, per command kind.
 
-The tool then lists every file of the two rounds (network files and
-outputs) whose bytes differ, with certificates' ``wall_seconds`` masked,
-and every command whose exit code or log (its standard output and error)
-differs, and prints the applications and columns per command kind.  It
-exits 0 when nothing differs and 1 otherwise; a difference in operator
-work alone is reported, not counted as a difference.
+For each pair the tool then lists every file of the two rounds (network
+files and outputs) whose bytes differ, with certificates'
+``wall_seconds`` masked, and every command whose exit code or log (its
+standard output and error) differs, and prints the applications and
+columns per command kind.  It exits 2 when some round fails to run, else
+1 when some pair differs, else 0; a difference in operator work alone is
+reported, not counted as a difference.
 """
 
 from __future__ import annotations
@@ -101,26 +105,33 @@ def work_table(a: Path, b: Path) -> list[str]:
     return lines
 
 
+def compare(parent: str, change: str, workload: str, seed: int) -> int:
+    """Run and compare one round of ``workload`` at ``seed`` from both checkouts,
+    print the report and return 0 (no differences), 1 (differences) or 2 (a
+    round failed to run)."""
+    with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
+        dirs = [Path(tmp) / "parent", Path(tmp) / "change"]
+        for checkout, out in zip((parent, change), dirs):
+            cmd = [sys.executable, "-c", WORKER.format(tools=str(TOOLS)), checkout, workload, str(seed), str(out)]
+            done = subprocess.run(cmd, capture_output=True, text=True)
+            if done.returncode:
+                print(f"the {workload} seed {seed} round from {checkout} failed:\n{done.stderr}", file=sys.stderr)
+                return 2
+        diffs = differences(*dirs)
+        print(f"{workload} seed {seed}: " + (f"{len(diffs)} differences" if diffs else "no differences"))
+        for line in diffs + work_table(*dirs):
+            print(line)
+    return 1 if diffs else 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", help="checkout of the parent commit")
     p.add_argument("change", help="checkout of the change")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--workload", action="append", required=True, help="repeatable")
+    p.add_argument("--seed", type=int, action="append", required=True, help="repeatable")
     args = p.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
-        dirs = [Path(tmp) / "parent", Path(tmp) / "change"]
-        for checkout, out in zip((args.parent, args.change), dirs):
-            cmd = [sys.executable, "-c", WORKER.format(tools=str(TOOLS)), checkout, args.workload, str(args.seed), str(out)]
-            done = subprocess.run(cmd, capture_output=True, text=True)
-            if done.returncode:
-                print(f"the round from {checkout} failed:\n{done.stderr}", file=sys.stderr)
-                return 2
-        diffs = differences(*dirs)
-        print(f"{args.workload} seed {args.seed}: " + (f"{len(diffs)} differences" if diffs else "no differences"))
-        for line in diffs + work_table(*dirs):
-            print(line)
-    return 1 if diffs else 0
+    return max([compare(args.parent, args.change, w, seed) for w in args.workload for seed in args.seed])
 
 
 if __name__ == "__main__":
