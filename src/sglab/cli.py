@@ -169,12 +169,13 @@ def cmd_check(args) -> int:
             rays_n = _check_rays(net_n, rho, grid, 64)
             rep = stability_battery(net_n, rho, grid, n_max=64, _rays=rays_n)
             mbi = max_mbi_probe(net_n, rho, grid, _rays=rays_n)
+            unit = np.flatnonzero(rep.r_grid == 1.0)  # the r = 1 row, when 1 is on the grid
             rows.append(
                 {
                     "N": n_trunc,
                     "ugas_evidence": rep.ugas_evidence,
                     "mbi_status": mbi.status,
-                    "beta_1_16": float(rep.kl_table[np.searchsorted(rep.r_grid, 1.0), min(16, rep.n_max)]),
+                    "beta_1_16": float(rep.kl_table[unit[0], min(16, rep.n_max)]) if unit.size else None,
                 }
             )
         cert.extras["truncation_sweep"] = rows

@@ -4,7 +4,9 @@ Every check returns an ``SgcVerdict``.  Quantified-over-the-cone
 conditions (no-joint-increase, its uniform variant, maximum bounded
 invertibility) can only be falsified by sampling, so their verdicts are
 ``fail`` with a machine-checkable counterexample or ``evidence`` with the
-sampling budget.  ``pass`` is reserved for the decidable subclasses:
+sampling budget; the uniform variant reads every depth of its
+neighborhoods off one max-propagation of the decaying sample values over
+in-edges.  ``pass`` is reserved for the decidable subclasses:
 cycle-gain checks on a declared interval for max aggregation, and a power
 iterate ``T^n(1)`` of norm below 1 for homogeneous operators.  A run that
 stops undecided is ``inconclusive``.
@@ -27,7 +29,7 @@ from .cone import coercivity_check, sup_norm
 # min_fixed_point stays bound here: perfbench/spans.py traces it under this module's name
 from .dynamics import StopReason, StopRule, _battery_grid, _ray_batch, _Rays, _scan, as_operator, cofinality_witness, min_fixed_point  # noqa: F401
 from .kfun import KFun, MonotoneSamples, Side, compose_power, envelope, id_plus, identity
-from .network import GainNetwork, _simple_cycles, graph_diameter, is_strongly_connected, neighborhood
+from .network import GainNetwork, _simple_cycles, graph_diameter, is_strongly_connected
 
 nx = None  # perfbench/spans.py patches this binding when it traces a run
 
@@ -290,12 +292,19 @@ def uniform_nji_probe(
 ) -> SgcVerdict:
     """Probe the uniform no-joint-increase condition at level ``(r, eps)``.
 
-    For each sampled ``s`` in the norm-``r`` ball and each node ``i`` with
-    ``s_i >= eps``, some node within graph distance ``n`` must carry value
-    at least ``delta`` and strictly decay.  The witness is the smallest
-    depth ``n <= min(net.n, 8)`` admitting a ``delta`` of the grid
-    ``1, 1/2, ..., 2**-8``, with the largest such ``delta``; a sample
-    violating every pair is a counterexample.
+    For each sampled ``s`` in the norm-``r`` ball and each active entry,
+    a node ``i`` with ``s_i >= eps``, some node within ``n`` hops upstream
+    must carry value at least ``delta`` and strictly decay.  With
+    ``M_0 = s * [T(s) < s]`` and ``M_n[i]`` the maximum of ``M_{n-1}`` over
+    ``i`` and its in-neighbors, ``M_n[i]`` is the largest decaying value
+    within ``n`` hops, so ``(n, delta)`` holds exactly when ``delta`` is at
+    most the least ``M_n`` over the active entries: max and comparison
+    round nothing, so this is exact in floats.  Each sample is its own
+    column, and one without an active entry constrains nothing, so it is
+    dropped.  The witness is the smallest depth ``n <= min(net.n, 8)``
+    admitting a ``delta`` of the grid ``1, 1/2, ..., 2**-8``, with the
+    largest such ``delta``; otherwise the counterexample is the first node
+    with an active entry below ``2**-8`` at that depth, at its first sample.
     """
     if not 0 < eps <= r:
         raise ValueError("need 0 < eps <= r")
@@ -304,45 +313,34 @@ def uniform_nji_probe(
     n_max = min(net.n, 8)  # depth beyond 8 buys nothing on probe budgets
     s = cone_samples(net, sampler, rho, scale_cap=r)
     t = op(s)
-    decays = t < s
-    reach: dict[tuple[int, int], np.ndarray] = {}
-    violation = None
+    nbrs = net.graph.in_neighbors
+    deg = np.fromiter(map(len, nbrs), int, net.n)
+    order = np.argsort(-deg, kind="stable")  # rows by in-degree: each slot updates a prefix, not a scatter
+    row = np.argsort(order)  # the row of each node
+    # slot k: the k-th in-neighbor of each node with more than k in-edges
+    slots = [row[[nbrs[v][k] for v in order[: np.count_nonzero(deg > k)]]] for k in range(deg.max())]
+    cols = np.flatnonzero(np.any(s >= eps, axis=0))
+    m = s[np.ix_(order, cols)]
+    active = np.flatnonzero(m >= eps)  # the active entries, as indices into m.ravel()
+    m = np.where(t[np.ix_(order, cols)] < m, m, 0.0)
     for n in range(1, n_max + 1):
-        for i in range(net.n):
-            reach[(i, n)] = np.fromiter(sorted(neighborhood(net.graph, i, n)), dtype=int)
-        for delta in deltas:
-            ok = True
-            for i in range(net.n):
-                active = s[i] >= eps
-                if not np.any(active):
-                    continue
-                js = reach[(i, n)]
-                exists = np.any((s[js] >= delta) & decays[js], axis=0)
-                bad = active & ~exists
-                if np.any(bad):
-                    ok = False
-                    if n == n_max and delta == deltas[-1]:
-                        k = int(np.argmax(bad))
-                        violation = {
-                            "s": s[:, k].tolist(),
-                            "image": t[:, k].tolist(),
-                            "i": i,
-                            "n": n,
-                            "delta": delta,
-                        }
-                    break
-            if ok:
-                return SgcVerdict(
-                    condition="uniform_nji",
-                    status="evidence",
-                    witness={"n": n, "delta": delta, "r": r, "eps": eps},
-                    samples=s.shape[1],
-                    budget=sampler.budget,
-                )
+        prev = m.copy()
+        for js in slots:
+            np.maximum(m[: len(js)], prev[js], out=m[: len(js)])
+        least = m.ravel().take(active).min(initial=np.inf)
+        if least >= deltas[-1]:
+            return SgcVerdict(
+                condition="uniform_nji",
+                status="evidence",
+                witness={"n": n, "delta": next(d for d in deltas if d <= least), "r": r, "eps": eps},
+                samples=s.shape[1],
+                budget=sampler.budget,
+            )
+    i, k = divmod(int(np.argmax((s[:, cols] >= eps) & (m[row] < deltas[-1]))), len(cols))
     return SgcVerdict(
         condition="uniform_nji",
         status="fail",
-        counterexample=violation,
+        counterexample={"s": s[:, cols[k]].tolist(), "image": t[:, cols[k]].tolist(), "i": i, "n": n_max, "delta": deltas[-1]},
         samples=s.shape[1],
         budget=sampler.budget,
     )

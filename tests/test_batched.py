@@ -13,6 +13,9 @@ batched, with the descent's slack covering the top's tolerance.
 ``frozen_battery`` and ``frozen_mbi`` are the stability battery (its
 ray table and augmented rays as two runs) and ``max_mbi_probe`` (ray by
 ray) as they ran before ``check``'s rays became one batch.
+``frozen_uniform_nji`` is ``uniform_nji_probe`` as it ran before it became
+one max-propagation per depth: a loop over depth, the δ grid and the nodes,
+with one ``neighborhood`` set per node and depth.
 Batched results must match them bit for bit, including the first
 failure a grid scan reports.
 """
@@ -36,6 +39,7 @@ from sglab import (
     MonotoneSamples,
     MonotoneStepError,
     PathConstructionError,
+    SamplerConfig,
     SgcVerdict,
     Side,
     StabilityReport,
@@ -43,8 +47,10 @@ from sglab import (
     StopRule,
     as_operator,
     build_network,
+    chain_template,
     cofinality_witness,
     combined_path,
+    cone_samples,
     default_knots,
     envelope,
     factor_id_plus,
@@ -54,12 +60,14 @@ from sglab import (
     linear,
     max_mbi_probe,
     minimal_path,
+    neighborhood,
     network_from_dict,
     orbit_path,
     regularize,
     stability_battery,
     sub_from_id,
     sup_norm,
+    uniform_nji_probe,
     validate,
 )
 from sglab.dynamics import GainOperator, _fixed_points, _max_fixed_points, _run
@@ -919,3 +927,131 @@ class TestDistinctTops:
                 assert same(res.point, point) and res.iterations == its and res.status is status
             checked += 1
         assert checked >= 10
+
+
+def frozen_uniform_nji(net, r, eps, rho=None, sampler=SamplerConfig()):
+    """``uniform_nji_probe`` as a loop over depth, the δ grid and the nodes."""
+    if not 0 < eps <= r:
+        raise ValueError("need 0 < eps <= r")
+    op = as_operator(net, rho)
+    deltas = [2.0**-k for k in range(0, 9)]
+    n_max = min(net.n, 8)  # depth beyond 8 buys nothing on probe budgets
+    s = cone_samples(net, sampler, rho, scale_cap=r)
+    t = op(s)
+    decays = t < s
+    reach: dict[tuple[int, int], np.ndarray] = {}
+    violation = None
+    for n in range(1, n_max + 1):
+        for i in range(net.n):
+            reach[(i, n)] = np.fromiter(sorted(neighborhood(net.graph, i, n)), dtype=int)
+        for delta in deltas:
+            ok = True
+            for i in range(net.n):
+                active = s[i] >= eps
+                if not np.any(active):
+                    continue
+                js = reach[(i, n)]
+                exists = np.any((s[js] >= delta) & decays[js], axis=0)
+                bad = active & ~exists
+                if np.any(bad):
+                    ok = False
+                    if n == n_max and delta == deltas[-1]:
+                        k = int(np.argmax(bad))
+                        violation = {
+                            "s": s[:, k].tolist(),
+                            "image": t[:, k].tolist(),
+                            "i": i,
+                            "n": n,
+                            "delta": delta,
+                        }
+                    break
+            if ok:
+                return SgcVerdict(
+                    condition="uniform_nji",
+                    status="evidence",
+                    witness={"n": n, "delta": delta, "r": r, "eps": eps},
+                    samples=s.shape[1],
+                    budget=sampler.budget,
+                )
+    return SgcVerdict(
+        condition="uniform_nji",
+        status="fail",
+        counterexample=violation,
+        samples=s.shape[1],
+        budget=sampler.budget,
+    )
+
+
+def hub_network(k):
+    """Node 0 listens to ``k`` nodes, contracting and expanding in turn, and each of them to node 0."""
+    edges = [(j, 0, linear(0.3 if j % 2 else 1.5)) for j in range(1, k + 1)]
+    return build_network(k + 1, edges + [(0, j, linear(0.5 + 0.1 * (j % 7))) for j in range(1, k + 1)], MAX)
+
+
+def sourced_network():
+    """Nodes 0 and 5 have no in-edges; 1..4 pass an expanding gain down a line, and 5 feeds 3."""
+    edges = [(i - 1, i, linear(1.6)) for i in range(1, 5)] + [(5, 3, linear(0.4))]
+    return build_network(6, edges, SUM)
+
+
+UNIFORM_NETS = {
+    "one_node": build_network(1, [], MAX),
+    "sources": sourced_network(),
+    "hub22": hub_network(22),
+    "nearcrit": network_from_dict(CHECK_NETS["nearcrit"])[0],
+    "sigma_1_1_chain50": chain_template(linear(0.55), SUM).instantiate(50),
+    **{p.stem: network_from_dict(json.loads(p.read_text()))[0] for p in sorted(GOLDEN.glob("*.json"))},
+}
+UNIFORM_RHOS = [None, linear(0.05), KFun([0.0, 0.5, 2.0], [0.0, 0.02, 0.2], 0.05)]
+
+
+class TestUniformNjiPropagation:
+    """``uniform_nji_probe`` decided by one max-propagation per depth gives
+    the verdict of the node-by-node loop, ``frozen_uniform_nji``, on every
+    level, budget and enlargement, with its first counterexample."""
+
+    @staticmethod
+    def outcome(v):
+        return "fail" if v.failed else "evidence n=1" if v.witness["n"] == 1 else "evidence n>=2"
+
+    def test_random_networks(self):
+        nets = random_networks(101, 9) + [crossing_network(np.random.default_rng(seed), L2) for seed in (3, 4)]
+        levels = [(1.0, 1.0, 50), (4.0, 2.0**-6, 50), (0.5, 0.5, 300)]
+        seen = set()
+        for net in nets:
+            for rho in UNIFORM_RHOS:
+                for r, eps, budget in levels + [(1.0, 0.25, 10_000)] * (rho is None):
+                    cfg = SamplerConfig(seed=5, budget=budget)
+                    got = uniform_nji_probe(net, r, eps, rho, cfg)
+                    assert got.to_dict() == frozen_uniform_nji(net, r, eps, rho, cfg).to_dict()
+                    seen.add(self.outcome(got))
+        assert seen == {"evidence n=1", "evidence n>=2", "fail"}
+
+    @pytest.mark.parametrize("name", sorted(UNIFORM_NETS))
+    def test_special_networks(self, name):
+        net = UNIFORM_NETS[name]
+        for rho in UNIFORM_RHOS:
+            for r, eps, budget in [(1.0, 0.25, 10_000), (1.0, 1.0, 50), (2.0, 2.0**-9, 2000)]:
+                for seed in (0, 7):
+                    cfg = SamplerConfig(seed=seed, budget=budget)
+                    assert uniform_nji_probe(net, r, eps, rho, cfg).to_dict() == frozen_uniform_nji(net, r, eps, rho, cfg).to_dict()
+
+    def test_one_application_and_no_neighborhood(self, monkeypatch):
+        """One operator application on the samples, and no breadth-first neighborhood."""
+        import sglab.network as network_mod
+        import sglab.smallgain as smallgain_mod
+
+        def refuse(*_):
+            raise AssertionError("uniform_nji_probe walked a neighborhood")
+
+        calls, draws = [], []
+        real_call, real_samples = GainOperator.__call__, smallgain_mod.cone_samples
+        monkeypatch.setattr(network_mod, "neighborhood", refuse)
+        monkeypatch.setattr(smallgain_mod, "neighborhood", refuse, raising=False)
+        monkeypatch.setattr(GainOperator, "__call__", lambda self, s: calls.append(s.shape) or real_call(self, s))
+        monkeypatch.setattr(smallgain_mod, "cone_samples", lambda *a, **k: draws.append(a[0]) or real_samples(*a, **k))
+        for net in (UNIFORM_NETS["sigma_1_1_chain50"], UNIFORM_NETS["hub22"]):
+            calls.clear()
+            draws.clear()
+            uniform_nji_probe(net, 1.0, 0.25, sampler=SamplerConfig(budget=500))
+            assert calls == [(net.n, 500)] and draws == [net]

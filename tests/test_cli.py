@@ -153,6 +153,21 @@ class TestCheck:
         rows = read_cert(out)["extras"]["truncation_sweep"]
         assert rows[0]["N"] == 20 and rows[0]["ugas_evidence"] is True
 
+    @pytest.mark.parametrize("grid", ["geometric:-3:-1", "geometric:2:3", "geometric:-2:2", None])
+    def test_truncation_sweep_reads_the_unit_ray(self, files, tmp_path, grid):
+        """``beta_1_16`` is the r = 1 row of each truncation's decay table, and
+        ``null`` when 1 is not on the grid (not another row, nor a traceback)."""
+        out = str(tmp_path / "cert.json")
+        flags = ["--grid", grid] if grid else []
+        assert main(["check", files["chain"], "--N", "2", "--N", "5", "--budget", "50", *flags, "--out", out]) == 0
+        r_grid = sglab.cli._parse_grid_flag(grid) if grid else None
+        for row in read_cert(out)["extras"]["truncation_sweep"]:
+            net = sglab.chain_template(sglab.linear(0.25), sglab.SUM).instantiate(row["N"])
+            rep = sglab.stability_battery(net, None, r_grid, n_max=64)
+            unit = list(rep.r_grid).index(1.0) if 1.0 in rep.r_grid else None
+            assert row["beta_1_16"] == (None if unit is None else float(rep.kl_table[unit, 16]))
+            assert (unit is None) == (grid in ("geometric:-3:-1", "geometric:2:3"))
+
     def test_determinism(self, files, tmp_path):
         outs = []
         for k in range(2):
