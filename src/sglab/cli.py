@@ -20,7 +20,8 @@ import numpy as np
 from .certificate import Certificate
 from .dynamics import StopRule, as_operator, iterate, stability_battery
 from .kfun import KFun
-from .network import NetworkError, gain_from_descriptor, network_from_dict, network_from_json, subnetwork
+from .network import NetworkError, _read_json, gain_from_descriptor, network_from_dict, subnetwork
+from .network import network_from_json  # noqa: F401  (perfbench/spans.py traces it under this module's name)
 from .paths import (
     PathConstructionError,
     combined_path,
@@ -45,7 +46,7 @@ from .smallgain import (
 
 _FMT = "%.17g"
 _CSV_CHUNK_CELLS = 1 << 12  # cells formatted by one % operation
-_MAX_SAMPLE_CELLS = 1 << 27  # float64 cells of check's sample matrix (1 GiB)
+_MAX_SAMPLE_CELLS = 1 << 27  # float64 cells of check's sample matrix, and of simulate's trajectory (1 GiB)
 
 
 class InputError(ValueError):
@@ -66,11 +67,12 @@ def _gain_flag(text: str) -> KFun:
 
 
 def _parse_grid_flag(text: str) -> np.ndarray:
-    """``geometric:kmin:kmax`` gives the grid 2**k, k in [kmin, kmax]."""
+    """``geometric:kmin:kmax`` gives the grid 2**k, k in [kmin, kmax], with
+    -1074 <= kmin <= kmax <= 1023: every 2**k a positive finite double."""
     parts = text.split(":")
-    if parts[0] == "geometric" and len(parts) == 3 and int(parts[1]) <= int(parts[2]):
+    if parts[0] == "geometric" and len(parts) == 3 and -1074 <= int(parts[1]) <= int(parts[2]) <= 1023:
         return default_knots(int(parts[1]), int(parts[2]))
-    raise InputError(f"cannot parse grid {text!r}: need geometric:kmin:kmax with kmin <= kmax")
+    raise InputError(f"cannot parse grid {text!r}: need geometric:kmin:kmax with kmin <= kmax, each in -1074..1023")
 
 
 def _parse_start(text: str, n: int) -> np.ndarray:
@@ -113,8 +115,12 @@ def _write_csv(header: list[str], out, n_rows: int, rows) -> None:
 
 
 def _load(path: str):
+    """The network in the file at ``path``, its parse notes, the sha256 digest
+    of the file's bytes and the JSON value parsed from those bytes: the file
+    is read once, and a truncation sweep instantiates from that one parse."""
     try:
-        return network_from_json(path)
+        data, digest = _read_json(path)
+        return (*network_from_dict(data), digest, data)
     except FileNotFoundError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except NetworkError as exc:
@@ -136,7 +142,7 @@ def _emit(cert: Certificate, out_path: str | None) -> int:
 
 
 def cmd_check(args) -> int:
-    net, notes, digest = _load(args.network)
+    net, notes, digest, data = _load(args.network)
     cert = Certificate("check", digest, args.seed, notes=list(notes))
     rho = _gain_flag(args.rho) if args.rho else None
     grid = _parse_grid_flag(args.grid) if args.grid else None
@@ -158,8 +164,6 @@ def cmd_check(args) -> int:
         cert.notes.append("stability battery inconclusive on some rays (iteration cap)")
     if args.N:
         rows = []
-        with open(args.network) as fh:
-            data = json.load(fh)
         if "template" not in data:
             raise InputError("--N sweeps need a network file with a template")
         for n_trunc in args.N:
@@ -183,7 +187,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_path(args) -> int:
-    net, notes, digest = _load(args.network)
+    net, notes, digest, _ = _load(args.network)
     cert = Certificate("path", digest, 0, notes=list(notes))  # path draws nothing at random
     rho = _gain_flag(args.rho) if args.rho else None
     knots = _parse_grid_flag(args.knots) if args.knots else None
@@ -237,7 +241,7 @@ def cmd_path(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    net, _, _ = _load(args.network)
+    net, _, _, _ = _load(args.network)
     if args.variant == "rho" and not args.rho:
         raise InputError("--variant rho needs --rho")
     op = as_operator(net, _gain_flag(args.rho) if args.variant == "rho" else None)
@@ -249,6 +253,9 @@ def cmd_simulate(args) -> int:
         raise InputError(f"unknown variant {args.variant!r}")
     if args.steps < 0:
         raise InputError(f"--steps must be at least 0, got {args.steps}")
+    cells = (args.steps + 1) * (net.n + 2)  # every state is kept: a row is the step, the nodes and the norm
+    if cells > _MAX_SAMPLE_CELLS:
+        raise InputError(f"--steps {args.steps} keeps {cells} trajectory cells, above {_MAX_SAMPLE_CELLS}; lower --steps")
     s0 = _parse_start(args.start, net.n)
     stop = StopRule(max_iter=max(args.steps, 1))
     if args.steps == 0:

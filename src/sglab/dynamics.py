@@ -20,18 +20,20 @@ Every iteration here (trajectories, fixed points and the stability
 battery's rays) goes through the one driver ``_run``, which steps a batch
 ``(n, m)`` of columns, each with its own stop rule and cap, and applies
 only the columns still running.  T acts on each column alone, bit for
-bit, so columns of different kinds can share a batch.  ``_ray_batch``
-runs the battery's ray table and the least fixed points above the rays
-as one batch; the battery reads its UGS rays (the augmented runs above)
-off those fixed points, capped at its own ``10 * n_max`` steps, and
-``check`` makes one such batch for the battery and ``max_mbi_probe``
-together, on the union of their grids.  The ray fixed points behind
-``minimal_path`` and ``orbit_path``'s upward leg are one batch each;
-``combined_path``'s maximal fixed points take three batches per cap
-round (tops, one per distinct cap; descents; lower bounds); a single
-start is a batch of one.  Every column runs to its own stop.  Reading
-fixed points in grid order, up to the first ray that does not converge,
-is ``_scan``'s rule alone.
+bit, so columns of different kinds can share a batch.  ``_ray_batch`` is
+the one builder of least fixed points above rays ``r * ones``, optionally
+with the battery's ray table in the same batch: the battery reads its UGS
+rays (the augmented runs above) off those fixed points, capped at its own
+``10 * n_max`` steps, and ``check`` makes one such batch for the battery
+and ``max_mbi_probe`` together, on the union of their grids;
+``minimal_path``, ``orbit_path``'s upward leg and the tops of
+``combined_path``'s maximal fixed points (one ray per distinct cap) are
+one batch each.  ``_fixed_point_run`` runs the other fixed points (a
+single start, the descents from the tops and their lower bounds), and
+both state their columns by the one rule ``_fixed_point_stops``.  Every
+column runs to its own stop.  Reading fixed points in grid order, up to
+the first ray that does not converge, is ``_scan``'s rule alone, and
+every grid of rays is read by ``_grid``.
 Every application goes through ``_base_apply``, which evaluates all max
 and sum edges at once from one knot table per network (the distinct
 gains' knots merged into one grid, with a segment rank per gain).
@@ -69,6 +71,7 @@ __all__ = [
     "max_fixed_point",
     "decay_margin",
     "cofinality_witness",
+    "default_knots",
     "StabilityReport",
     "stability_battery",
 ]
@@ -346,11 +349,19 @@ def iterate(op, s0: np.ndarray, stop: StopRule = StopRule()) -> Trajectory:
     return Trajectory([s] + [x[:, 0] for x in steps], status[0], float(res[0]))
 
 
+def _fixed_point_stops(b: np.ndarray, s0: np.ndarray, stop: StopRule):
+    """The one stop rule of fixed-point columns ``s <- b max T(s)`` from ``s0``
+    (both ``(n, m)`` or ``(1, m)``): tolerance ``stop.tol * max(1, ||b||)``
+    and bound ``stop.bound_for(s0)``, per column.  A least fixed point runs
+    from ``s0 = b`` with an increasing step asserted, a descent from above
+    with a decreasing one."""
+    return stop.tol * np.maximum(1.0, np.abs(b).max(axis=0)), stop.bound_for(s0)
+
+
 def _fixed_point_run(op: GainOperator, b: np.ndarray, s0: np.ndarray, stop: StopRule, direction: int, slack=0.0):
     """``_run`` of ``s <- b max T(s)`` from ``s0`` for every column of the
-    ``(n, m)`` floors ``b`` and starts ``s0``, each to ``stop.tol * max(1, ||b||)``."""
-    tol = stop.tol * np.maximum(1.0, np.abs(b).max(axis=0))
-    return _run(op, s0, stop.max_iter, tol, stop.bound_for(s0), direction, b, slack=slack)
+    ``(n, m)`` floors ``b`` and starts ``s0``, by ``_fixed_point_stops``."""
+    return _run(op, s0, stop.max_iter, *_fixed_point_stops(b, s0, stop), direction, b, slack=slack)
 
 
 def _with_defect(op: GainOperator, b: np.ndarray, res: FixedPointResult) -> FixedPointResult:
@@ -376,28 +387,14 @@ def _scan(point: np.ndarray, its: np.ndarray, res: np.ndarray, status: list) -> 
     return out
 
 
-def _fixed_points(op: GainOperator, b: np.ndarray, stop: StopRule) -> list[FixedPointResult]:
-    """Least fixed points of ``s <- b max T(s)``, grown from ``b`` for every
-    column of the ``(n, m)`` floors ``b`` with an increasing step asserted,
-    read by ``_scan``.  A residual is the last step, or the norm at
-    divergence."""
-    return _scan(*_fixed_point_run(op, b, b, stop, +1))
-
-
-def _ray_fixed_points(op: GainOperator, r_grid: np.ndarray, stop: StopRule) -> list[FixedPointResult]:
-    """``min_fixed_point`` above the ray ``r * ones`` for each ``r`` of the grid,
-    run as one batch and scanned in grid order (see ``_scan``)."""
-    return _fixed_points(op, np.ones((op.n, len(r_grid))) * np.asarray(r_grid, dtype=float), stop)
-
-
 def _max_fixed_points(op: GainOperator, b: np.ndarray, caps: np.ndarray, stop: StopRule) -> list[FixedPointResult]:
     """``max_fixed_point`` for every column of the ``(n, m)`` floors ``b``
     from its cap in ``caps``, run as column batches and read by ``_scan``.
 
-    Each cap round is three batches: the tops (minimal fixed points above
-    the cap rays, one per distinct cap), the descents from the converged
-    tops and the minimal fixed points above ``b`` that bound the descents
-    from below.  An unconverged top is the column's result.  Only a
+    Each cap round is three batches: the tops (a ``_ray_batch`` of minimal
+    fixed points above the cap rays, one per distinct cap), the descents
+    from the converged tops and the minimal fixed points above ``b`` that
+    bound the descents from below.  An unconverged top is the column's result.  Only a
     column whose descent fails its monotone check goes into the next
     round, with its cap doubled.  The descent's slack covers the top's
     tolerance: a top is a fixed point only up to that tolerance, so the
@@ -417,10 +414,7 @@ def _max_fixed_points(op: GainOperator, b: np.ndarray, caps: np.ndarray, stop: S
         if not todo.size:
             break
         # one top per distinct cap: every knot r <= 1 of combined_path has cap 2
-        distinct, which = np.unique(caps[todo], return_inverse=True)
-        rays = np.ones((n, len(distinct))) * distinct
-        run = _fixed_point_run(op, rays, rays, stop, +1)
-        tops = run[0][:, which], run[1][which], run[2][which], [run[3][j] for j in which]
+        tops = _ray_batch(op, (), 0, np.unique(caps[todo]), stop.max_iter, stop).fixed_points(caps[todo])
         up = np.asarray([st is StopReason.CONVERGED for st in tops[3]], dtype=bool)
         put(todo[~up], tops, ~up, [st for st, u in zip(tops[3], up) if not u])
         cols = todo[up]
@@ -449,7 +443,7 @@ def min_fixed_point(net_or_op, b: np.ndarray, stop: StopRule = StopRule()) -> Fi
     reported as evidence against bounded invertibility rather than raised.
     """
     op, b = as_operator(net_or_op), np.asarray(b, dtype=float)
-    return _with_defect(op, b, _fixed_points(op, b[:, None], stop)[0])
+    return _with_defect(op, b, _scan(*_fixed_point_run(op, b[:, None], b[:, None], stop, +1))[0])
 
 
 def max_fixed_point(net_or_op, b: np.ndarray, r_cap: float | None = None, stop: StopRule = StopRule()) -> FixedPointResult:
@@ -536,27 +530,32 @@ class StabilityReport:
         }
 
 
-def _battery_grid(r_grid: Sequence[float] | None) -> np.ndarray:
-    """The battery's rays: ``r_grid`` sorted, by default ``2**k`` for ``k`` in ``-8..8``."""
-    if r_grid is None:
-        r_grid = [2.0**k for k in range(-8, 9)]
-    r_grid = np.asarray(sorted(float(r) for r in r_grid))
-    if len(r_grid) == 0:
-        raise ValueError("r_grid must be nonempty")
-    return r_grid
+def default_knots(k_min: int = -20, k_max: int = 20) -> np.ndarray:
+    """Double-ended geometric grid 2**k (decaying to 0, growing to inf)."""
+    return np.asarray([2.0**k for k in range(k_min, k_max + 1)])
+
+
+def _grid(r_grid: Sequence[float] | None, k: int) -> np.ndarray:
+    """The one reading of a grid of rays: ``r_grid`` as sorted floats, by
+    default ``default_knots(-k, k)``; an empty grid is refused."""
+    grid = default_knots(-k, k) if r_grid is None else np.asarray(sorted(float(r) for r in r_grid), dtype=float)
+    if len(grid) == 0:
+        raise ValueError("the grid of rays must be nonempty")
+    return grid
 
 
 @dataclass(frozen=True)
 class _Rays:
     """A ``_ray_batch``: the table's norms, and the least-fixed-point columns
-    ``(point, iterations, residual, status)`` on the sorted, distinct ``fp_grid``."""
+    ``(point, iterations, residual, status)`` on ``fp_grid``, one per entry."""
 
     kl: np.ndarray
     fp_grid: np.ndarray
     fp: tuple
 
     def fixed_points(self, r_grid: Sequence[float]) -> tuple:
-        """The least-fixed-point columns of the sorted ``r_grid``, each of whose rays is in ``fp_grid``."""
+        """The least-fixed-point columns of ``r_grid``, in its order; ``fp_grid``
+        must be sorted and hold each of its rays."""
         k = np.searchsorted(self.fp_grid, r_grid)
         point, its, res, status = self.fp
         return point[:, k], its[k], res[k], [status[j] for j in k]
@@ -566,21 +565,22 @@ def _ray_batch(op: GainOperator, table_grid: np.ndarray, n_max: int, fp_grid: np
     """One ``_run`` batch of rays ``r * ones``: table columns ``T^k(r * ones)``
     for ``table_grid`` (tol 0, bound 1e30, cap ``n_max``, norms recorded),
     and least-fixed-point columns ``s <- r * ones max T(s)`` for ``fp_grid``
-    (increasing step asserted, ``stop``'s tolerance and bound, cap
-    ``fp_cap``).  T acts on each column alone, bit for bit, so each column
-    ends as a batch of its own kind would end it.  Tol 0 stops a table ray
-    only at an exact fixed point and 1e30 at hopeless growth; either way
-    its last norm fills the rest of its row.
+    (``_fixed_point_stops``, cap ``fp_cap``); ``table_grid`` may be empty.
+    T acts on each column alone, bit for bit, so each column ends as a
+    batch of its own kind would end it.  Tol 0 stops a table ray only at
+    an exact fixed point and 1e30 at hopeless growth; either way its last
+    norm fills the rest of its row.
     """
-    t, grid = len(table_grid), np.concatenate((table_grid, fp_grid))
+    t, f, grid = len(table_grid), len(fp_grid), np.concatenate((table_grid, fp_grid))
     cols = len(grid)
     kl = np.zeros((cols, n_max + 1))
     kl[:, 0] = grid
-    tol = np.concatenate((np.zeros(t), stop.tol * np.maximum(1.0, fp_grid)))
-    bound = np.concatenate((np.full(t, 1e30), np.zeros(len(fp_grid)) + stop.bound_for(fp_grid[None, :])))
-    cap = np.concatenate((np.full(t, n_max), np.full(len(fp_grid), fp_cap)))
+    fp_tol, fp_bound = _fixed_point_stops(fp_grid[None, :], fp_grid[None, :], stop)
+    tol = np.concatenate((np.zeros(t), fp_tol))
+    bound = np.concatenate((np.full(t, 1e30), np.zeros(f) + fp_bound))
+    cap = np.concatenate((np.full(t, n_max), np.full(f, fp_cap)))
     floor = np.concatenate((np.zeros(t), fp_grid))[None, :]
-    direction = np.concatenate((np.zeros(t), np.ones(len(fp_grid))))
+    direction = np.concatenate((np.zeros(t), np.ones(f)))
     point, its, res, status = _run(op, np.ones((op.n, cols)) * grid, cap, tol, bound, direction, floor, norms=kl)
     kl = np.where(np.arange(n_max + 1) <= its[:t, None], kl[:t], kl[np.arange(t), its[:t]][:, None])
     return _Rays(kl, fp_grid, (point[:, t:], its[t:], res[t:], status[t:]))
@@ -610,7 +610,7 @@ def stability_battery(
     leaves that ray inconclusive.
     """
     op = as_operator(net_or_op, rho)
-    r_grid = _battery_grid(r_grid)
+    r_grid = _grid(r_grid, 8)
     ugs_cap = min(stop.max_iter, 10 * n_max)
     if ugs_cap <= 0:
         raise ValueError("stop parameters must be positive")

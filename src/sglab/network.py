@@ -544,16 +544,19 @@ def network_from_dict(data: dict) -> tuple[GainNetwork, list[str]]:
     return build_network(n, edges, maf), notes
 
 
-def network_from_json(path: str) -> tuple[GainNetwork, list[str], str]:
-    """Load a network file; returns (network, parse notes, sha256 digest)."""
+def _read_json(path: str) -> tuple[object, str]:
+    """The JSON value in the file at ``path`` and the sha256 digest of the bytes it was parsed from."""
     import hashlib
 
     with open(path, "rb") as fh:
         raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
     try:
-        data = json.loads(raw)
+        return json.loads(raw), hashlib.sha256(raw).hexdigest()
     except json.JSONDecodeError as exc:
         raise NetworkError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    net, notes = network_from_dict(data)
-    return net, notes, digest
+
+
+def network_from_json(path: str) -> tuple[GainNetwork, list[str], str]:
+    """Load a network file; returns (network, parse notes, sha256 digest)."""
+    data, digest = _read_json(path)
+    return (*network_from_dict(data), digest)

@@ -24,10 +24,13 @@ from .cone import sup_norm
 from .dynamics import (  # noqa: F401
     StopReason,
     StopRule,
+    _grid,
     _max_fixed_points,
-    _ray_fixed_points,
+    _ray_batch,
+    _scan,
     as_operator,
     cofinality_witness,
+    default_knots,
     iterate,
     max_fixed_point,
     min_fixed_point,
@@ -147,11 +150,6 @@ def _kfun_dict(f: KFun | None) -> dict | None:
     return {"xs": f.xs.tolist(), "ys": f.ys.tolist(), "final_slope": f.final_slope}
 
 
-def default_knots(k_min: int = -20, k_max: int = 20) -> np.ndarray:
-    """Double-ended geometric grid 2**k (decaying to 0, growing to inf)."""
-    return np.asarray([2.0**k for k in range(k_min, k_max + 1)])
-
-
 # -- constructions -----------------------------------------------------------
 
 
@@ -169,13 +167,11 @@ def minimal_path(
     failing knot).
     """
     op = as_operator(net_or_op, rho)
-    if r_grid is None:
-        r_grid = default_knots()
-    grid = np.asarray(sorted(float(r) for r in r_grid))
+    grid = _grid(r_grid, 20)
     if grid[0] <= 0:
         raise ValueError("knots must be positive (the origin knot is implicit)")
     pts = [np.zeros(op.n)]
-    for r, res in zip(grid, _ray_fixed_points(op, grid, stop)):
+    for r, res in zip(grid, _scan(*_ray_batch(op, (), 0, grid, stop.max_iter, stop).fp)):
         if res.status is StopReason.DIVERGED:
             raise PathConstructionError(
                 f"augmented iteration diverged at knot r={r}: bounded invertibility fails there",
@@ -212,9 +208,7 @@ def combined_path(
     fail strict separation (already converged) are dropped.
     """
     op = as_operator(net_or_op, rho)
-    if r_knots is None:
-        r_knots = default_knots(-10, 10)
-    grid = np.asarray(sorted(float(r) for r in r_knots))
+    grid = _grid(r_knots, 10)
     if grid[0] <= 0:
         raise ValueError("knots must be positive (the origin knot is implicit)")
     main = _max_fixed_points(op, np.ones((op.n, len(grid))) * grid, 2.0 * np.maximum(grid, 1.0), stop)
@@ -305,7 +299,7 @@ def orbit_path(
             f"orbit coercivity ratio collapsed from {ratios[0]:.3e} to {ratios[-1]:.3e}: orbit is not coercive"
         )
     targets = 2.0 ** np.arange(1, 9) * sup_norm(s0)
-    ups = _ray_fixed_points(op, targets, stop)
+    ups = _scan(*_ray_batch(op, (), 0, targets, stop.max_iter, stop).fp)
     if ups[-1].status is not StopReason.CONVERGED:
         word = "diverged" if ups[-1].status is StopReason.DIVERGED else "inconclusive"
         where = float(targets[len(ups) - 1])

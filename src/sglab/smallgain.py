@@ -27,7 +27,7 @@ import numpy as np
 
 from .cone import coercivity_check, sup_norm
 # min_fixed_point stays bound here: perfbench/spans.py traces it under this module's name
-from .dynamics import StopReason, StopRule, _battery_grid, _ray_batch, _Rays, _scan, as_operator, cofinality_witness, min_fixed_point  # noqa: F401
+from .dynamics import StopReason, StopRule, _grid, _ray_batch, _Rays, _scan, as_operator, cofinality_witness, min_fixed_point  # noqa: F401
 from .kfun import KFun, MonotoneSamples, Side, compose_power, envelope, id_plus, identity
 from .network import GainNetwork, _simple_cycles, graph_diameter, is_strongly_connected
 
@@ -312,17 +312,17 @@ def uniform_nji_probe(
     deltas = [2.0**-k for k in range(0, 9)]
     n_max = min(net.n, 8)  # depth beyond 8 buys nothing on probe budgets
     s = cone_samples(net, sampler, rho, scale_cap=r)
-    t = op(s)
+    cols = np.flatnonzero(np.any(s >= eps, axis=0))
+    t = op(s[:, cols])  # T acts on each column alone: only the columns read are applied
     nbrs = net.graph.in_neighbors
     deg = np.fromiter(map(len, nbrs), int, net.n)
     order = np.argsort(-deg, kind="stable")  # rows by in-degree: each slot updates a prefix, not a scatter
     row = np.argsort(order)  # the row of each node
     # slot k: the k-th in-neighbor of each node with more than k in-edges
     slots = [row[[nbrs[v][k] for v in order[: np.count_nonzero(deg > k)]]] for k in range(deg.max())]
-    cols = np.flatnonzero(np.any(s >= eps, axis=0))
     m = s[np.ix_(order, cols)]
     active = np.flatnonzero(m >= eps)  # the active entries, as indices into m.ravel()
-    m = np.where(t[np.ix_(order, cols)] < m, m, 0.0)
+    m = np.where(t[order] < m, m, 0.0)
     for n in range(1, n_max + 1):
         prev = m.copy()
         for js in slots:
@@ -340,25 +340,18 @@ def uniform_nji_probe(
     return SgcVerdict(
         condition="uniform_nji",
         status="fail",
-        counterexample={"s": s[:, cols[k]].tolist(), "image": t[:, cols[k]].tolist(), "i": i, "n": n_max, "delta": deltas[-1]},
+        counterexample={"s": s[:, cols[k]].tolist(), "image": t[:, k].tolist(), "i": i, "n": n_max, "delta": deltas[-1]},
         samples=s.shape[1],
         budget=sampler.budget,
     )
-
-
-def _mbi_grid(r_grid: Sequence[float] | None) -> list[float]:
-    """``max_mbi_probe``'s rays: ``r_grid`` sorted, by default ``2**k`` for ``k`` in ``-10..10``."""
-    if r_grid is None:
-        r_grid = [2.0**k for k in range(-10, 11)]
-    return sorted(float(r) for r in r_grid)
 
 
 def _check_rays(net: GainNetwork, rho: KFun | None, r_grid: Sequence[float] | None, n_max: int) -> _Rays:
     """``check``'s one ray batch: ``stability_battery``'s table on its grid, and
     the least fixed points on the union of its grid and ``max_mbi_probe``'s,
     to ``StopRule()``'s cap; both read it as ``_rays``."""
-    table, stop = _battery_grid(r_grid), StopRule()
-    return _ray_batch(as_operator(net, rho), table, n_max, np.union1d(table, _mbi_grid(r_grid)), stop.max_iter, stop)
+    table, stop = _grid(r_grid, 8), StopRule()
+    return _ray_batch(as_operator(net, rho), table, n_max, np.union1d(table, _grid(r_grid, 10)), stop.max_iter, stop)
 
 
 def max_mbi_probe(
@@ -378,9 +371,9 @@ def max_mbi_probe(
     table columns, or ``check``'s shared batch passed as ``_rays``; the
     verdict is read off them by ``_scan``.
     """
-    r_grid = _mbi_grid(r_grid)
+    r_grid = _grid(r_grid, 10).tolist()
     if _rays is None:
-        _rays = _ray_batch(as_operator(net, rho), np.empty(0), 0, np.unique(r_grid), stop.max_iter, stop)
+        _rays = _ray_batch(as_operator(net, rho), (), 0, np.unique(r_grid), stop.max_iter, stop)
     pairs = [(0.0, 0.0)]
     for r, res in zip(r_grid, _scan(*_rays.fixed_points(r_grid))):
         if res.status is StopReason.DIVERGED:
@@ -423,9 +416,7 @@ def cycle_gain_check(
     """
     if net.uniform_maf != "max":
         raise ValueError("cycle-gain check applies to max-aggregation networks only")
-    if test_grid is None:
-        test_grid = [2.0**k for k in range(-8, 9)]
-    grid = np.asarray(sorted(float(g) for g in test_grid))
+    grid = _grid(test_grid, 8)
     r_top = float(grid[-1])
     cycles, truncated = _cycles(net, _CYCLE_BUDGET)
     lift = None if rho is None else id_plus(rho)

@@ -153,6 +153,33 @@ class TestCheck:
         rows = read_cert(out)["extras"]["truncation_sweep"]
         assert rows[0]["N"] == 20 and rows[0]["ugas_evidence"] is True
 
+    def test_truncation_sweep_instantiates_the_hashed_bytes(self, files, tmp_path, monkeypatch):
+        """The sweep's truncations come from the one parse of the bytes behind
+        ``input_digest``, not from a second read of the file."""
+        import hashlib
+
+        import sglab.cli
+
+        raw = Path(files["chain"]).read_bytes()
+        load = sglab.cli._load
+
+        def load_then_rewrite(path):
+            loaded = load(path)
+            Path(path).write_text(json.dumps(dict(CHAIN, template={"offsets": [{"offset": d, "gain": "linear:4"} for d in (-1, 1)]})))
+            return loaded
+
+        monkeypatch.setattr(sglab.cli, "_load", load_then_rewrite)
+        out = str(tmp_path / "cert.json")
+        assert main(["check", files["chain"], "--N", "20", "--budget", "50", "--out", out]) == 0
+        monkeypatch.undo()
+        Path(files["chain"]).write_bytes(raw)
+        cert = read_cert(out)
+        assert cert["input_digest"] == hashlib.sha256(raw).hexdigest()
+        assert cert["extras"]["truncation_sweep"][0]["ugas_evidence"] is True
+        assert main(["check", files["chain"], "--N", "20", "--budget", "50", "--out", str(tmp_path / "again.json")]) == 0
+        again = read_cert(str(tmp_path / "again.json"))
+        assert again["extras"] == cert["extras"]
+
     @pytest.mark.parametrize("grid", ["geometric:-3:-1", "geometric:2:3", "geometric:-2:2", None])
     def test_truncation_sweep_reads_the_unit_ray(self, files, tmp_path, grid):
         """``beta_1_16`` is the r = 1 row of each truncation's decay table, and
@@ -439,6 +466,35 @@ class TestEmptyGrid:
         assert main(["path", files["a"], "--knots", "geometric:0:0", "--out", str(tmp_path / "cert.json")]) in (0, 1)
 
 
+class TestGridRange:
+    """A ``geometric:kmin:kmax`` grid needs every 2**k to be a positive finite
+    double, so k in -1074..1023; any other k is unusable input."""
+
+    FLAGS = [["check", "--grid"], ["path", "--knots"]]
+
+    @pytest.mark.parametrize("flag", FLAGS, ids=["check", "path"])
+    @pytest.mark.parametrize("grid", ["geometric:0:1100", "geometric:-1100:-1090", "geometric:-1075:0", "geometric:0:1024"])
+    def test_out_of_range_rejected(self, files, tmp_path, flag, grid, capsys):
+        code = main([flag[0], files["a"], flag[1], grid, "--out", str(tmp_path / "cert.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error:") and grid in err and "-1074..1023" in err and err.count("\n") == 1
+        assert not (tmp_path / "cert.json").exists()
+
+    def test_extreme_exponents_build_no_grid(self, files, tmp_path):
+        # refused from the bounds alone: no list of 2**k is built for this range
+        proc = run_limited(["check", files["a"], "--grid", f"geometric:{-(10**12)}:0"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("input error:") and proc.stderr.count("\n") == 1
+
+    def test_ends_of_the_range_accepted(self):
+        from sglab.cli import _parse_grid_flag
+
+        grid = _parse_grid_flag("geometric:-1074:1023")
+        assert len(grid) == 2098 and grid[0] == 5e-324 and grid[-1] == 2.0**1023
+        assert np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)
+
+
 class TestSimulateSteps:
     def test_negative_steps_rejected(self, files, tmp_path, capsys):
         out = tmp_path / "traj.csv"
@@ -447,6 +503,36 @@ class TestSimulateSteps:
         assert code == 2
         assert err.startswith("input error:") and "--steps" in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_trajectory_above_the_cell_limit_rejected_before_iterating(self, files, tmp_path, capsys, monkeypatch):
+        """``(steps + 1) * (nodes + 2)`` cells of the CSV table are the bound: 10 x 4 = 40 is kept, 11 x 4 refused."""
+        import sglab.cli
+
+        monkeypatch.setattr(sglab.cli, "_MAX_SAMPLE_CELLS", 40)
+        monkeypatch.setattr(sglab.cli, "iterate", lambda *a, **k: pytest.fail("iterated past the limit"))
+        out = tmp_path / "traj.csv"
+        code = main(["simulate", files["a"], "--start", "ray:1", "--steps", "10", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("input error:") and "--steps" in err and err.count("\n") == 1
+        assert not out.exists()
+        monkeypatch.undo()
+        monkeypatch.setattr(sglab.cli, "_MAX_SAMPLE_CELLS", 40)
+        assert main(["simulate", files["a"], "--start", "ray:1", "--steps", "9", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 11
+
+    def test_periodic_trajectory_bounded(self, tmp_path):
+        """A trajectory that neither converges nor diverges keeps every state:
+        a step count whose table passes the limit is refused, not run."""
+        swap = {"nodes": 2, "edges": [{"from": 1, "to": 0, "gain": "linear:1"}, {"from": 0, "to": 1, "gain": "linear:1"}]}
+        net = tmp_path / "swap.json"
+        net.write_text(json.dumps(swap))
+        proc = run_limited(["simulate", str(net), "--start", "[1, 0]", "--steps", str(10**9)], tmp_path)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("input error:") and "--steps" in proc.stderr and proc.stderr.count("\n") == 1
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", str(net), "--start", "[1, 0]", "--steps", "1000", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 1002 and rows[-1] == "1000,1,0,1"
 
 
 class TestRestrictFlag:

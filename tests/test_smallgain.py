@@ -241,3 +241,12 @@ class TestDecaysetCoercivity:
 
             if is_strongly_connected(net.graph):
                 decayset_coercivity(net)  # raises on violation
+
+
+@pytest.mark.parametrize("grid", [[], (), np.empty(0)], ids=["list", "tuple", "array"])
+def test_empty_grid_refused_by_every_ray_reader(two_node_half, grid):
+    from sglab import combined_path, minimal_path, stability_battery
+
+    for run in (stability_battery, max_mbi_probe, cycle_gain_check, minimal_path, combined_path):
+        with pytest.raises(ValueError, match="nonempty"):
+            run(two_node_half, None, grid)
