@@ -1,10 +1,11 @@
 """The small-gain condition battery on a stable and an unstable loop.
 
-Conditions quantified over the whole cone are probed by sampling: a
-``fail`` always ships a replayable counterexample, while the sampled
-positive outcome is labelled ``evidence``.  The decidable class checks
-(cycle gains for max aggregation, the spectral test for linear gains)
-earn a genuine ``pass``.
+No-joint-increase is decided by one clamped descent from the top of the
+ray grid: a ``fail`` ships a replayable counterexample, and a ``pass``
+holds on the annulus between the grid's ends.  The uniform variant is
+probed by sampling, so its positive outcome is labelled ``evidence``.
+The decidable class checks (cycle gains for max aggregation, the
+spectral test for linear gains) earn a genuine ``pass``.
 """
 
 import numpy as np
@@ -28,9 +29,10 @@ stable = build_network(2, [(1, 0, linear(0.5)), (0, 1, linear(0.5))], MAX)
 unstable = build_network(2, [(1, 0, linear(2.0)), (0, 1, linear(2.0))], MAX)
 cfg = SamplerConfig(budget=2000)
 
-print("== no-joint-increase probe ==")
-print("stable  :", nji_probe(stable, sampler=cfg).status)
-bad = nji_probe(unstable, sampler=cfg)
+print("== no-joint-increase descent ==")
+good = nji_probe(stable)
+print("stable  :", good.status, "on", good.witness["eps"], "<= ||s|| <=", good.witness["r"], "after", good.witness["step"], "steps")
+bad = nji_probe(unstable)
 print("unstable:", bad.status, "counterexample s =", bad.counterexample["s"])
 s = np.asarray(bad.counterexample["s"])
 print("replay: T(s) =", as_operator(unstable)(s), ">= s entrywise")

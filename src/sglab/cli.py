@@ -2,7 +2,8 @@
 
 Exit codes (``_emit``): 1 exactly when some verdict is ``fail``, 0
 otherwise (``inconclusive`` included), and 2 only for unusable input,
-usage errors included (``main``, one ``input error:`` line).  All
+usage errors and paths that cannot be read or written included
+(``main``, one ``input error:`` line).  All
 floating CSV output is printed with 17 significant digits; certificates
 serialize canonically so identical inputs and seeds reproduce identical
 bytes (timing aside).
@@ -20,7 +21,7 @@ import numpy as np
 from .certificate import Certificate
 from .dynamics import StopRule, as_operator, iterate, stability_battery
 from .kfun import KFun
-from .network import NetworkError, _read_json, gain_from_descriptor, network_from_dict, subnetwork
+from .network import _read_json, gain_from_descriptor, network_from_dict, subnetwork
 from .network import network_from_json  # noqa: F401  (perfbench/spans.py traces it under this module's name)
 from .paths import (
     PathConstructionError,
@@ -118,13 +119,8 @@ def _load(path: str):
     """The network in the file at ``path``, its parse notes, the sha256 digest
     of the file's bytes and the JSON value parsed from those bytes: the file
     is read once, and a truncation sweep instantiates from that one parse."""
-    try:
-        data, digest = _read_json(path)
-        return (*network_from_dict(data), digest, data)
-    except FileNotFoundError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except NetworkError as exc:
-        raise InputError(str(exc)) from exc
+    data, digest = _read_json(path)
+    return (*network_from_dict(data), digest, data)
 
 
 def _emit(cert: Certificate, out_path: str | None) -> int:
@@ -150,9 +146,9 @@ def cmd_check(args) -> int:
     if net.n * args.budget > _MAX_SAMPLE_CELLS:
         raise InputError(f"{net.n} nodes x budget {args.budget} exceeds {_MAX_SAMPLE_CELLS} sample cells; lower --budget")
 
-    cert.verdicts.append(nji_probe(net, rho, sampler))
+    rays = _check_rays(net, rho, grid, 256, descent=True)
+    cert.verdicts.append(nji_probe(net, rho, grid, _rays=rays))
     cert.verdicts.append(uniform_nji_probe(net, r=1.0, eps=0.25, rho=rho, sampler=sampler))
-    rays = _check_rays(net, rho, grid, 256)
     cert.verdicts.append(max_mbi_probe(net, rho, grid, _rays=rays))
     if net.uniform_maf == "max":
         cert.verdicts.append(cycle_gain_check(net, rho, grid))
@@ -327,7 +323,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except ValueError as exc:  # InputError, NetworkError and JSONDecodeError among them
+    except (ValueError, OSError) as exc:  # InputError, NetworkError, JSONDecodeError; a path unfit to read or write
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

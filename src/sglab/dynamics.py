@@ -22,10 +22,10 @@ battery's rays) goes through the one driver ``_run``, which steps a batch
 only the columns still running.  T acts on each column alone, bit for
 bit, so columns of different kinds can share a batch.  ``_ray_batch`` is
 the one builder of least fixed points above rays ``r * ones``, optionally
-with the battery's ray table in the same batch: the battery reads its UGS
-rays (the augmented runs above) off those fixed points, capped at its own
-``10 * n_max`` steps, and ``check`` makes one such batch for the battery
-and ``max_mbi_probe`` together, on the union of their grids;
+with the battery's ray table and ``nji_probe``'s clamped descent in the
+same batch: the battery reads its UGS rays (the augmented runs above) off
+those fixed points, capped at its own ``10 * n_max`` steps, and ``check``
+makes one batch for the battery, ``max_mbi_probe`` and ``nji_probe``;
 ``minimal_path``, ``orbit_path``'s upward leg and the tops of
 ``combined_path``'s maximal fixed points (one ray per distinct cap) are
 one batch each.  ``_fixed_point_run`` runs the other fixed points (a
@@ -255,11 +255,11 @@ def _base_apply(net: GainNetwork, s: np.ndarray) -> np.ndarray:
 # -- iteration ------------------------------------------------------------
 
 
-def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norms=None, slack=0.0):
+def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norms=None, slack=0.0, ceiling=None):
     """The one monotone-iteration driver, over a batch ``(n, m)`` of columns.
 
-    Each column steps ``s <- op(s)`` (``s <- floor max op(s)`` when a floor
-    of shape ``(n, m)`` or ``(1, m)`` is given) until its own stop rule
+    Each column steps ``s <- ceiling min (floor max op(s))`` (each bound
+    optional, of shape ``(n, m)`` or ``(1, m)``) until its own stop rule
     fires, and is then frozen; only the active columns are applied.
     ``max_iter``, ``tol``, ``bound``, ``direction`` and ``slack`` are
     scalars or ``(m,)`` arrays.  Divergence (sup norm above ``bound``) is
@@ -284,7 +284,7 @@ def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norm
     status: list = [StopReason.MAX_ITER] * m
     if m == 0:
         return point, its, res, status
-    act, cur, fl = np.arange(m), s, floor
+    act, cur, fl, cl = np.arange(m), s, floor, ceiling
     cap, tl, bd = np.zeros(m, dtype=int) + max_iter, np.zeros(m) + tol, np.zeros(m) + bound
     dr, sl = np.zeros(m) + direction, np.zeros(m) + slack
     gate = dr != 0 if floor is None else (dr != 0) | np.logical_or.reduce(floor != 0, axis=0)
@@ -296,6 +296,8 @@ def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norm
         nxt = op(cur)
         if gated and fl is not None:
             nxt = np.maximum(fl, nxt)
+        if cl is not None:
+            nxt = np.minimum(cl, nxt)
         drift = nxt - cur
         step = np.maximum.reduce(np.abs(drift), axis=0)
         norm = np.maximum.reduce(np.abs(nxt), axis=0)
@@ -328,6 +330,7 @@ def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norm
             if not keep.size:
                 break
             act, nxt, cap, tl, bd = act[keep], nxt[:, keep], cap[keep], tl[keep], bd[keep]
+            cl = None if cl is None else cl[:, keep]
             if gated:
                 gate, dr, sl, scale = gate[keep], dr[keep], sl[keep], scale[keep]
                 if fl is not None:
@@ -546,12 +549,13 @@ def _grid(r_grid: Sequence[float] | None, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Rays:
-    """A ``_ray_batch``: the table's norms, and the least-fixed-point columns
-    ``(point, iterations, residual, status)`` on ``fp_grid``, one per entry."""
+    """A ``_ray_batch``: the table's norms, the least-fixed-point columns ``(point,
+    iterations, residual, status)`` on ``fp_grid``, and ``top``'s ``(point, iterations, status, norms)``."""
 
     kl: np.ndarray
     fp_grid: np.ndarray
     fp: tuple
+    top: tuple | None = None
 
     def fixed_points(self, r_grid: Sequence[float]) -> tuple:
         """The least-fixed-point columns of ``r_grid``, in its order; ``fp_grid``
@@ -561,29 +565,33 @@ class _Rays:
         return point[:, k], its[k], res[k], [status[j] for j in k]
 
 
-def _ray_batch(op: GainOperator, table_grid: np.ndarray, n_max: int, fp_grid: np.ndarray, fp_cap: int, stop: StopRule) -> _Rays:
+def _ray_batch(op: GainOperator, table_grid: np.ndarray, n_max: int, fp_grid: np.ndarray, fp_cap: int, stop: StopRule, top: float | None = None) -> _Rays:
     """One ``_run`` batch of rays ``r * ones``: table columns ``T^k(r * ones)``
     for ``table_grid`` (tol 0, bound 1e30, cap ``n_max``, norms recorded),
-    and least-fixed-point columns ``s <- r * ones max T(s)`` for ``fp_grid``
-    (``_fixed_point_stops``, cap ``fp_cap``); ``table_grid`` may be empty.
-    T acts on each column alone, bit for bit, so each column ends as a
-    batch of its own kind would end it.  Tol 0 stops a table ray only at
-    an exact fixed point and 1e30 at hopeless growth; either way its last
-    norm fills the rest of its row.
+    least-fixed-point columns ``s <- r * ones max T(s)`` for ``fp_grid``
+    (``_fixed_point_stops``, cap ``fp_cap``), and given ``top``, a table
+    column ``s <- top * ones min T(s)`` that must descend; ``table_grid``
+    may be empty.  T acts on each column alone, bit for bit, so each column
+    ends as a batch of its own kind would end it.  Tol 0 stops a table ray
+    only at an exact fixed point and 1e30 at hopeless growth; either way
+    its last norm fills the rest of its row.
     """
-    t, f, grid = len(table_grid), len(fp_grid), np.concatenate((table_grid, fp_grid))
+    t, f, d = len(table_grid), len(fp_grid), int(top is not None)
+    grid = np.concatenate((table_grid, fp_grid, [top] * d))
     cols = len(grid)
     kl = np.zeros((cols, n_max + 1))
     kl[:, 0] = grid
     fp_tol, fp_bound = _fixed_point_stops(fp_grid[None, :], fp_grid[None, :], stop)
-    tol = np.concatenate((np.zeros(t), fp_tol))
-    bound = np.concatenate((np.full(t, 1e30), np.zeros(f) + fp_bound))
-    cap = np.concatenate((np.full(t, n_max), np.full(f, fp_cap)))
-    floor = np.concatenate((np.zeros(t), fp_grid))[None, :]
-    direction = np.concatenate((np.zeros(t), np.ones(f)))
-    point, its, res, status = _run(op, np.ones((op.n, cols)) * grid, cap, tol, bound, direction, floor, norms=kl)
+    tol = np.concatenate((np.zeros(t), fp_tol, np.zeros(d)))
+    bound = np.concatenate((np.full(t, 1e30), np.zeros(f) + fp_bound, np.full(d, 1e30)))
+    cap = np.concatenate((np.full(t, n_max), np.full(f, fp_cap), np.full(d, n_max)))
+    floor = np.concatenate((np.zeros(t), fp_grid, np.zeros(d)))[None, :]
+    direction = np.concatenate((np.zeros(t), np.ones(f), -np.ones(d)))
+    ceiling = np.where(np.arange(cols) < t + f, np.inf, grid)[None, :] if d else None
+    point, its, res, status = _run(op, np.ones((op.n, cols)) * grid, cap, tol, bound, direction, floor, norms=kl, ceiling=ceiling)
+    fp, descent = slice(t, t + f), (point[:, -1], int(its[-1]), status[-1], kl[-1]) if d else None
     kl = np.where(np.arange(n_max + 1) <= its[:t, None], kl[:t], kl[np.arange(t), its[:t]][:, None])
-    return _Rays(kl, fp_grid, (point[:, t:], its[t:], res[t:], status[t:]))
+    return _Rays(kl, fp_grid, (point[:, fp], its[fp], res[fp], status[fp]), descent)
 
 
 def stability_battery(

@@ -1,15 +1,16 @@
 """Small-gain condition probes and class-specific decidable checks.
 
-Every check returns an ``SgcVerdict``.  Quantified-over-the-cone
-conditions (no-joint-increase, its uniform variant, maximum bounded
-invertibility) can only be falsified by sampling, so their verdicts are
-``fail`` with a machine-checkable counterexample or ``evidence`` with the
-sampling budget; the uniform variant reads every depth of its
-neighborhoods off one max-propagation of the decaying sample values over
-in-edges.  ``pass`` is reserved for the decidable subclasses:
-cycle-gain checks on a declared interval for max aggregation, and a power
-iterate ``T^n(1)`` of norm below 1 for homogeneous operators.  A run that
-stops undecided is ``inconclusive``.
+Every check returns an ``SgcVerdict``.  No-joint-increase is decided
+between the ends of the ray grid by one clamped descent, a column of
+``check``'s ray batch: ``pass``, or ``fail`` with a counterexample.  The
+uniform variant (sampled) and maximum bounded invertibility (on rays) are
+probed: ``fail`` with a machine-checkable counterexample or ``evidence``;
+the uniform variant reads every depth of its neighborhoods off one
+max-propagation of the decaying sample values over in-edges.  Otherwise
+``pass`` is reserved for the decidable subclasses: cycle-gain checks on
+a declared interval for max aggregation, and a power iterate ``T^n(1)``
+of norm below 1 for homogeneous operators.  A run that stops undecided
+is ``inconclusive``.
 
 Samplers draw a deterministic prefix (rays, unit bumps, cycle profiles)
 before any seeded randomness, so canonical counterexamples are found
@@ -27,7 +28,7 @@ import numpy as np
 
 from .cone import coercivity_check, sup_norm
 # min_fixed_point stays bound here: perfbench/spans.py traces it under this module's name
-from .dynamics import StopReason, StopRule, _grid, _ray_batch, _Rays, _scan, as_operator, cofinality_witness, min_fixed_point  # noqa: F401
+from .dynamics import MonotoneStepError, StopReason, StopRule, _grid, _ray_batch, _Rays, _scan, as_operator, cofinality_witness, min_fixed_point  # noqa: F401
 from .kfun import KFun, MonotoneSamples, Side, compose_power, envelope, id_plus, identity
 from .network import GainNetwork, _simple_cycles, graph_diameter, is_strongly_connected
 
@@ -264,23 +265,32 @@ def _draw_groups(rng: np.random.Generator, s: np.ndarray, k: int, log_lo: float,
 # -- probes ----------------------------------------------------------------
 
 
-def nji_probe(net: GainNetwork, rho: KFun | None = None, sampler: SamplerConfig = SamplerConfig()) -> SgcVerdict:
-    """Search for a joint increase: some ``s > 0`` with ``T(s) >= s`` entrywise."""
-    op = as_operator(net, rho)
-    s = cone_samples(net, sampler, rho)
-    t = op(s)
-    nonzero = np.any(s > 0, axis=0)
-    hit = np.all(t >= s, axis=0) & nonzero
-    if np.any(hit):
-        k = int(np.argmax(hit))
-        return SgcVerdict(
-            condition="nji",
-            status="fail",
-            counterexample={"s": s[:, k].tolist(), "image": t[:, k].tolist()},
-            samples=k + 1,
-            budget=sampler.budget,
-        )
-    return SgcVerdict(condition="nji", status="evidence", samples=s.shape[1], budget=sampler.budget)
+def nji_probe(net: GainNetwork, rho: KFun | None = None, r_grid: Sequence[float] | None = None, *, _rays: _Rays | None = None) -> SgcVerdict:
+    """Decide no-joint-increase, no ``s != 0`` with ``T(s) >= s``, on ``eps <= ||s|| <= R``,
+    the bottom and the top of the grid.
+
+    The descent ``s <- R * ones min T(s)`` from ``R * ones`` decreases and
+    stays above every joint increase of norm at most ``R`` (``s <= s_k``
+    gives ``s <= T(s) <= T(s_k)``).  So a descent that stops at ``s != 0``
+    is one (``fail``), and a norm below ``eps`` rules them out of the
+    annulus (``pass``).  It is ``check``'s batch column, passed as
+    ``_rays``, or a batch of its own, capped at 256 steps like the table;
+    a cap reached or a step that rises (T not monotone) is ``inconclusive``.
+    """
+    op, grid = as_operator(net, rho), _grid(r_grid, 8)
+    r, eps = float(grid[-1]), float(grid[0])
+    point, its, status, norms = (_rays or _ray_batch(op, (), 256, np.empty(0), 0, StopRule(), r)).top
+    below, note = np.flatnonzero(norms[1 : its + 1] < eps), "decided with the floating-point operator, not with outward-rounded bounds of T"
+    if isinstance(status, MonotoneStepError):
+        verdict, note = "inconclusive", f"the descent rose at step {its}: T is not monotone in floating point here"
+    elif status is StopReason.CONVERGED and np.any(point > 0):
+        verdict = "fail"
+    elif below.size:
+        verdict, its = "pass", int(below[0]) + 1
+    else:
+        verdict, note = "inconclusive", f"the descent reached its cap of {its} steps above eps"
+    counterexample = {"s": point.tolist(), "image": op(point).tolist()} if verdict == "fail" else None
+    return SgcVerdict("nji", verdict, {"r": r, "eps": eps, "step": its, "norm": float(norms[its])}, counterexample, note=note)
 
 
 def uniform_nji_probe(
@@ -346,12 +356,13 @@ def uniform_nji_probe(
     )
 
 
-def _check_rays(net: GainNetwork, rho: KFun | None, r_grid: Sequence[float] | None, n_max: int) -> _Rays:
-    """``check``'s one ray batch: ``stability_battery``'s table on its grid, and
+def _check_rays(net: GainNetwork, rho: KFun | None, r_grid: Sequence[float] | None, n_max: int, descent: bool = False) -> _Rays:
+    """``check``'s one ray batch: ``stability_battery``'s table on its grid,
     the least fixed points on the union of its grid and ``max_mbi_probe``'s,
-    to ``StopRule()``'s cap; both read it as ``_rays``."""
+    to ``StopRule()``'s cap, and with ``descent`` ``nji_probe``'s descent from
+    the grid's top; each reads it as ``_rays``."""
     table, stop = _grid(r_grid, 8), StopRule()
-    return _ray_batch(as_operator(net, rho), table, n_max, np.union1d(table, _grid(r_grid, 10)), stop.max_iter, stop)
+    return _ray_batch(as_operator(net, rho), table, n_max, np.union1d(table, _grid(r_grid, 10)), stop.max_iter, stop, table[-1] if descent else None)
 
 
 def max_mbi_probe(

@@ -305,9 +305,8 @@ def test_ac9_nji_equivalence():
         expanding = rng.random() < 0.5
         slope_range = (1.2, 2.0) if expanding else (0.1, 0.7)
         net = random_network(rng, n_max=4, slope_range=slope_range, p_edge=0.6)
-        cfg = SamplerConfig(budget=10_000)
-        plain = nji_probe(net, sampler=cfg)
-        uniform = uniform_nji_probe(net, r=1.0, eps=0.25, sampler=cfg)
+        plain = nji_probe(net)
+        uniform = uniform_nji_probe(net, r=1.0, eps=0.25, sampler=SamplerConfig(budget=10_000))
         if plain.failed != uniform.failed:
             disagreements += 1
     ok = disagreements == 0

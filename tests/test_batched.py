@@ -16,7 +16,9 @@ ray table and augmented rays as two runs) and ``max_mbi_probe`` (ray by
 ray) as they ran before ``check``'s rays became one batch.
 ``frozen_uniform_nji`` is ``uniform_nji_probe`` as it ran before it became
 one max-propagation per depth: a loop over depth, the δ grid and the nodes,
-with one ``neighborhood`` set per node and depth.
+with one ``neighborhood`` set per node and depth.  ``frozen_ray_batch`` is
+``_ray_batch`` before it could hold ``nji_probe``'s descent column, and
+``serial_descent`` that descent stepped alone.
 Batched results must match them bit for bit, including the first
 failure a grid scan reports.
 """
@@ -62,6 +64,7 @@ from sglab import (
     minimal_path,
     neighborhood,
     network_from_dict,
+    nji_probe,
     orbit_path,
     regularize,
     stability_battery,
@@ -446,6 +449,26 @@ class TestDriver:
         rays = np.ones((2, 2)) * [1.0, 4.0]
         _run(op, rays, 5, 0.0, 1e30, norms=norms)
         assert same(norms[:, 1:], np.asarray([[0.5**k for k in range(1, 6)], [4 * 0.5**k for k in range(1, 6)]]))
+
+    def test_infinite_ceiling_changes_nothing(self):
+        rng = np.random.default_rng(7)
+        for net in random_networks(13, 12):
+            op, m = as_operator(net), 8
+            floor = rng.uniform(0.0, 2.0, size=(net.n, m)) * rng.choice([0.0, 1.0], size=m)
+            s = floor + rng.uniform(0.0, 1.0, size=(net.n, m))
+            for direction in (0, 1, -1):
+                want = _run(op, s, 30, 1e-9, 1e3, direction, floor)
+                got = _run(op, s, 30, 1e-9, 1e3, direction, floor, ceiling=np.full((1, m), np.inf))
+                assert all(same(a, b) for a, b in zip(got[:3], want[:3]))
+                assert [(type(a), str(a)) for a in got[3]] == [(type(b), str(b)) for b in want[3]]
+
+    def test_ceiled_columns_stay_below_their_ceiling(self):
+        ceiling = np.asarray([[0.5, 2.0, 8.0, np.inf]])
+        for net in random_networks(17, 12):
+            op = as_operator(net)
+            norms = np.zeros((4, 41))
+            point, _, _, _ = _run(op, np.ones((op.n, 4)) * np.minimum(ceiling, 4.0), 40, 0.0, 1e30, norms=norms, ceiling=ceiling)
+            assert np.all(norms <= ceiling.T) and np.all(point <= ceiling)
 
     def test_empty_batch(self, two_node_half):
         point, its, res, status = _run(as_operator(two_node_half), np.zeros((2, 0)), 10, 1e-10, 1.0)
@@ -913,6 +936,107 @@ class TestCheckRayBatch:
         op = as_operator(network_from_dict(CHECK_NETS["rho_sum3"])[0])
         slowest = max(serial_min_fixed_point(op, r * np.ones(3), StopRule())[1] for r in default_knots(-10, 10))
         assert slowest > 256 and calls[0] == slowest
+
+
+def frozen_ray_batch(op, table_grid, n_max, fp_grid, fp_cap, stop):
+    """``_ray_batch`` as it ran before it could hold the descent column:
+    the table's norms and the least-fixed-point columns."""
+    t, f, grid = len(table_grid), len(fp_grid), np.concatenate((table_grid, fp_grid))
+    cols = len(grid)
+    kl = np.zeros((cols, n_max + 1))
+    kl[:, 0] = grid
+    tol = np.concatenate((np.zeros(t), stop.tol * np.maximum(1.0, fp_grid)))
+    bound = np.concatenate((np.full(t, 1e30), stop.bound_for(fp_grid[None, :])))
+    cap = np.concatenate((np.full(t, n_max), np.full(f, fp_cap)))
+    floor = np.concatenate((np.zeros(t), fp_grid))[None, :]
+    direction = np.concatenate((np.zeros(t), np.ones(f)))
+    point, its, res, status = _run(op, np.ones((op.n, cols)) * grid, cap, tol, bound, direction, floor, norms=kl)
+    kl = np.where(np.arange(n_max + 1) <= its[:t, None], kl[:t], kl[np.arange(t), its[:t]][:, None])
+    return kl, (point[:, t:], its[t:], res[t:], status[t:])
+
+
+def serial_descent(op, r, n_max):
+    """The clamped descent ``s <- r * ones min T(s)`` from ``r * ones``, one column,
+    with its norm after each step: (point, iterations, status, norms)."""
+    states = []
+    point, its, _, status = serial_run(lambda s: np.minimum(r, op(s)), r * np.ones(op.n), n_max, 0.0, 1e30, -1, states)
+    return point, its, status, [r] + [sup_norm(x) for x in states]
+
+
+class TestDescentColumn:
+    """The descent column rides in a ray batch without moving a bit of the
+    other columns, and steps as the one-column clamped descent does."""
+
+    def test_other_columns_keep_their_bits(self):
+        nets = [as_operator(net) for net in random_networks(23, 18)]
+        nets += [as_operator(network_from_dict(CHECK_NETS[name])[0]) for name in ("nearcrit", "rho_sum3")]
+        descents = set()
+        for op in nets:
+            for table, fp_grid, n_max in [(default_knots(-8, 8), default_knots(-10, 10), 256), (default_knots(-2, 3), default_knots(-2, 3), 64)]:
+                rays = _ray_batch(op, table, n_max, fp_grid, StopRule().max_iter, StopRule(), top=float(table[-1]))
+                kl, fp = frozen_ray_batch(op, table, n_max, fp_grid, StopRule().max_iter, StopRule())
+                assert same(rays.kl, kl) and same(rays.fp[0], fp[0]) and same(rays.fp[1], fp[1]) and same(rays.fp[2], fp[2])
+                assert [(type(a), str(a)) for a in rays.fp[3]] == [(type(b), str(b)) for b in fp[3]]
+                point, its, status, norms = rays.top
+                want = serial_descent(op, float(table[-1]), n_max)
+                assert same(point, want[0]) and its == want[1] and status is want[2] and same(norms[: its + 1], want[3])
+                descents.add(status)
+        assert descents == {StopReason.CONVERGED, StopReason.MAX_ITER}
+
+    def test_without_the_descent_the_batch_is_the_frozen_one(self):
+        for net in random_networks(29, 9):
+            op = as_operator(net)
+            rays = _ray_batch(op, default_knots(-3, 3), 32, default_knots(-4, 4), 500, StopRule())
+            kl, fp = frozen_ray_batch(op, default_knots(-3, 3), 32, default_knots(-4, 4), 500, StopRule())
+            assert rays.top is None and same(rays.kl, kl) and same(rays.fp[0], fp[0]) and same(rays.fp[1], fp[1])
+
+
+def replays(op, verdict):
+    """An ``nji`` fail whose counterexample is ``s != 0`` with ``T(s) >= s``, through one application."""
+    s = np.asarray(verdict.counterexample["s"])
+    image = op(s)
+    return verdict.failed and same(image, verdict.counterexample["image"]) and np.any(s > 0) and np.all(image >= s)
+
+
+def rising_network():
+    """A custom aggregation that halves values above 100 and doubles smaller ones,
+    capped at 150: from 256 the descent steps 128, 64 and rises to 128."""
+
+    def rule(v):
+        m = float(np.max(v))
+        return 0.5 * m if m > 100 else min(2.0 * m, 150.0)
+
+    return build_network(2, [(0, 1, identity()), (1, 0, identity())], MafSpec("custom", func=rule, modulus=linear(3.0), xi=identity()))
+
+
+class TestNjiDescent:
+    """``nji_probe`` decided by the clamped descent from the top of the grid."""
+
+    def test_sigma_1_1_chain_fails_at_step_136(self):
+        net = chain_template(linear(0.55), SUM).instantiate(50)
+        v = nji_probe(net)
+        assert v.witness["step"] == 136 and replays(as_operator(net), v)
+
+    def test_rho_sum3_fails(self):
+        net = network_from_dict(CHECK_NETS["rho_sum3"])[0]
+        assert replays(as_operator(net), nji_probe(net))
+
+    def test_nearcrit_is_inconclusive_at_the_cap(self):
+        v = nji_probe(network_from_dict(CHECK_NETS["nearcrit"])[0])
+        assert v.status == "inconclusive" and v.witness["step"] == 256 and v.counterexample is None
+
+    def test_a_rising_step_is_inconclusive(self):
+        v = nji_probe(rising_network())
+        assert v.status == "inconclusive" and v.witness["step"] == 3 and "rose" in v.note
+
+    def test_check_reads_the_descent_of_its_ray_batch(self):
+        import sglab.cli as cli_mod
+
+        for name in ("nearcrit", "rho_sum3"):
+            net = network_from_dict(CHECK_NETS[name])[0]
+            for rho, grid in [(None, None), (linear(0.1), default_knots(-3, 3))]:
+                rays = cli_mod._check_rays(net, rho, grid, 256, descent=True)
+                assert nji_probe(net, rho, grid, _rays=rays).to_dict() == nji_probe(net, rho, grid).to_dict()
 
 
 class TestDistinctTops:

@@ -78,7 +78,22 @@ class TestCheck:
         cert = read_cert(out)
         nji = next(v for v in cert["verdicts"] if v["condition"] == "nji")
         assert nji["status"] == "fail"
-        assert nji["counterexample"]["s"] == [1.0, 1.0]
+        assert nji["counterexample"]["s"] == [256.0, 256.0]
+
+    def test_rho_decides_nji_on_the_enlarged_operator(self, tmp_path):
+        # a max ring of gains 0.95 contracts; enlarged by id + 0.1 its cycle gain is 1.045
+        gain = {"type": "linear", "k": 0.95}
+        path, out = tmp_path / "ring.json", str(tmp_path / "cert.json")
+        path.write_text(json.dumps({"nodes": 2, "maf": "max", "edges": [{"from": 1, "to": 0, "gain": gain}, {"from": 0, "to": 1, "gain": gain}]}))
+        statuses = []
+        for flags in ([], ["--rho", "linear:0.1"]):
+            main(["check", str(path), "--budget", "50", "--out", out, *flags])
+            nji = next(v for v in read_cert(out)["verdicts"] if v["condition"] == "nji")
+            statuses.append(nji["status"])
+        s = np.asarray(nji["counterexample"]["s"])
+        net = sglab.network_from_json(str(path))[0]
+        assert statuses == ["pass", "fail"] and np.all(sglab.as_operator(net, sglab.linear(0.1))(s) >= s)
+        assert not np.all(sglab.as_operator(net)(s) >= s)
 
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -663,3 +678,30 @@ class TestParserReuse:
         mask = lambda text: re.sub(r'"wall_seconds": [^\s,}]+', "", text)  # noqa: E731
         assert [(c, mask(o), e) for c, o, e in reused] == [(c, mask(o), e) for c, o, e in fresh]
         assert [c for c, _, _ in reused] == [0, 0, 2, 1, 0, 0, 0]
+
+
+class TestUnusablePaths:
+    """A path that cannot be read or written is unusable input: one ``input
+    error:`` line and exit 2, never a traceback with the exit code of a
+    failing verdict."""
+
+    def test_network_is_a_directory(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{a}", "--budget", "50", "--out", "{bad}"],
+            ["path", "{a}", "--out", "{bad}"],
+            ["path", "{a}", "--path-out", "{bad}"],
+            ["simulate", "{a}", "--start", "ray:1", "--out", "{bad}"],
+        ],
+        ids=["check-out", "path-out", "path-path-out", "simulate-out"],
+    )
+    def test_unwritable_output(self, argv, files, tmp_path, capsys):
+        bad = str(tmp_path / "no-such-dir" / "out")
+        assert main([arg.format(bad=bad, **files) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1

@@ -10,7 +10,9 @@ application of the operator.  Draw 2 of the sweep once made ``check`` exit
 ``path --method combined`` end in a traceback (an exhausted cap
 escalation in ``max_fixed_point``), then in ``inconclusive`` while the
 descent's slack did not cover the tolerance of the top it starts from.
-Draw 91 still exhausts the escalation at one knot.
+Draw 91 still exhausts the escalation at one knot.  Draws 13, 76 and 125
+of a 150-draw sweep hold joint increases that no sampled cone vector hit;
+the descent that decides ``nji`` finds each of them.
 """
 
 import json
@@ -89,3 +91,14 @@ def test_combined_on_draw_91_is_inconclusive(tmp_path):
     (verdict,) = verdicts
     assert verdict["status"] == "inconclusive" and verdict["counterexample"] is None
     assert verdict["witness"]["knot"] == 4.0
+
+
+@pytest.mark.parametrize("draw", [13, 76, 125])
+def test_check_finds_the_joint_increase_of_draw(draw, tmp_path):
+    net = sweep_networks(150)[draw]
+    code, verdicts = run(net, "check", tmp_path)
+    nji = next(v for v in verdicts if v["condition"] == "nji")
+    s = np.asarray(nji["counterexample"]["s"])
+    image = as_operator(net)(s)
+    assert code == 1 and nji["status"] == "fail" and image.tolist() == nji["counterexample"]["image"]
+    assert np.any(s > 0) and np.all(image >= s)
