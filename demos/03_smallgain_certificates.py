@@ -2,17 +2,17 @@
 
 No-joint-increase is decided by one clamped descent from the top of the
 ray grid: a ``fail`` ships a replayable counterexample, and a ``pass``
-holds on the annulus between the grid's ends.  The uniform variant is
-probed by sampling, so its positive outcome is labelled ``evidence``.
-The decidable class checks (cycle gains for max aggregation, the
-spectral test for linear gains) earn a genuine ``pass``.
+holds on the annulus between the grid's ends.  The uniform variant at a
+level ``(r, eps)`` is the same condition on the annulus ``eps <= ||s|| <= r``
+(the network is finite), decided by the same rule on a descent from
+``r * ones``.  The decidable class checks (cycle gains for max
+aggregation, the spectral test for linear gains) earn a genuine ``pass``.
 """
 
 import numpy as np
 
 from sglab import (
     MAX,
-    SamplerConfig,
     as_operator,
     build_network,
     cycle_gain_check,
@@ -27,7 +27,6 @@ from sglab import (
 
 stable = build_network(2, [(1, 0, linear(0.5)), (0, 1, linear(0.5))], MAX)
 unstable = build_network(2, [(1, 0, linear(2.0)), (0, 1, linear(2.0))], MAX)
-cfg = SamplerConfig(budget=2000)
 
 print("== no-joint-increase descent ==")
 good = nji_probe(stable)
@@ -37,9 +36,10 @@ print("unstable:", bad.status, "counterexample s =", bad.counterexample["s"])
 s = np.asarray(bad.counterexample["s"])
 print("replay: T(s) =", as_operator(unstable)(s), ">= s entrywise")
 
-print("\n== uniform variant (level and depth witness) ==")
-u = uniform_nji_probe(stable, r=1.0, eps=0.5, sampler=cfg)
-print("stable witness:", u.witness)
+print("\n== uniform variant at level (r, eps) = (1, 0.5) ==")
+u = uniform_nji_probe(stable, r=1.0, eps=0.5)
+print("stable  :", u.status, "after", u.witness["step"], "steps, norm", u.witness["norm"])
+print("unstable:", uniform_nji_probe(unstable, r=1.0, eps=0.5).status)
 
 print("\n== bounded invertibility along rays ==")
 m = max_mbi_probe(stable, r_grid=[0.25, 1.0, 4.0])

@@ -5,8 +5,10 @@ otherwise (``inconclusive`` included), and 2 only for unusable input,
 usage errors and paths that cannot be read or written included
 (``main``, one ``input error:`` line).  All
 floating CSV output is printed with 17 significant digits; certificates
-serialize canonically so identical inputs and seeds reproduce identical
-bytes (timing aside).
+serialize canonically so identical inputs reproduce identical bytes
+(timing aside).  No command draws at random: ``check --seed`` is only
+recorded in the certificate, and is still accepted so that scripts that
+pass it keep working.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .paths import (
     validate,
 )
 from .smallgain import (
-    SamplerConfig,
     SgcVerdict,
     _check_rays,
     cycle_gain_check,
@@ -47,7 +48,8 @@ from .smallgain import (
 
 _FMT = "%.17g"
 _CSV_CHUNK_CELLS = 1 << 12  # cells formatted by one % operation
-_MAX_SAMPLE_CELLS = 1 << 27  # float64 cells of check's sample matrix, and of simulate's trajectory (1 GiB)
+_MAX_TRAJECTORY_CELLS = 1 << 27  # float64 cells of simulate's trajectory and CSV rows (1 GiB)
+_UNIFORM_LEVEL = (1.0, 0.25)  # (r, eps) of check's uniform_nji verdict
 
 
 class InputError(ValueError):
@@ -142,13 +144,10 @@ def cmd_check(args) -> int:
     cert = Certificate("check", digest, args.seed, notes=list(notes))
     rho = _gain_flag(args.rho) if args.rho else None
     grid = _parse_grid_flag(args.grid) if args.grid else None
-    sampler = SamplerConfig(seed=args.seed, budget=args.budget)
-    if net.n * args.budget > _MAX_SAMPLE_CELLS:
-        raise InputError(f"{net.n} nodes x budget {args.budget} exceeds {_MAX_SAMPLE_CELLS} sample cells; lower --budget")
-
-    rays = _check_rays(net, rho, grid, 256, descent=True)
+    r, eps = _UNIFORM_LEVEL
+    rays = _check_rays(net, rho, grid, 256, uniform_r=r)
     cert.verdicts.append(nji_probe(net, rho, grid, _rays=rays))
-    cert.verdicts.append(uniform_nji_probe(net, r=1.0, eps=0.25, rho=rho, sampler=sampler))
+    cert.verdicts.append(uniform_nji_probe(net, r, eps, rho, _rays=rays))
     cert.verdicts.append(max_mbi_probe(net, rho, grid, _rays=rays))
     if net.uniform_maf == "max":
         cert.verdicts.append(cycle_gain_check(net, rho, grid))
@@ -250,8 +249,8 @@ def cmd_simulate(args) -> int:
     if args.steps < 0:
         raise InputError(f"--steps must be at least 0, got {args.steps}")
     cells = (args.steps + 1) * (net.n + 2)  # every state is kept: a row is the step, the nodes and the norm
-    if cells > _MAX_SAMPLE_CELLS:
-        raise InputError(f"--steps {args.steps} keeps {cells} trajectory cells, above {_MAX_SAMPLE_CELLS}; lower --steps")
+    if cells > _MAX_TRAJECTORY_CELLS:
+        raise InputError(f"--steps {args.steps} keeps {cells} trajectory cells, above {_MAX_TRAJECTORY_CELLS}; lower --steps")
     s0 = _parse_start(args.start, net.n)
     stop = StopRule(max_iter=max(args.steps, 1))
     if args.steps == 0:
@@ -282,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="run the small-gain condition battery")
     c.add_argument("network")
     c.add_argument("--rho", default=None, help="strictness margin, e.g. linear:0.1")
-    c.add_argument("--budget", type=int, default=10_000)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=int, default=0, help="recorded in the certificate; check draws nothing at random")
     c.add_argument("--grid", default=None, help="ray grid, e.g. geometric:-8:8")
     c.add_argument("--N", type=int, action="append", default=None, help="truncation sweep size (repeatable)")
     c.add_argument("--out", default=None, help="certificate output file (default stdout)")

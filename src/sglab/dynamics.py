@@ -22,10 +22,11 @@ battery's rays) goes through the one driver ``_run``, which steps a batch
 only the columns still running.  T acts on each column alone, bit for
 bit, so columns of different kinds can share a batch.  ``_ray_batch`` is
 the one builder of least fixed points above rays ``r * ones``, optionally
-with the battery's ray table and ``nji_probe``'s clamped descent in the
-same batch: the battery reads its UGS rays (the augmented runs above) off
-those fixed points, capped at its own ``10 * n_max`` steps, and ``check``
-makes one batch for the battery, ``max_mbi_probe`` and ``nji_probe``;
+with the battery's ray table and clamped descents ``s <- r * ones min T(s)``
+in the same batch: the battery reads its UGS rays (the augmented runs
+above) off those fixed points, capped at its own ``10 * n_max`` steps, and
+``check`` makes one batch for the battery, ``max_mbi_probe`` and the two
+descents that decide ``nji_probe`` and ``uniform_nji_probe``;
 ``minimal_path``, ``orbit_path``'s upward leg and the tops of
 ``combined_path``'s maximal fixed points (one ray per distinct cap) are
 one batch each.  ``_fixed_point_run`` runs the other fixed points (a
@@ -123,7 +124,7 @@ class StopRule:
 
 @dataclass
 class Trajectory:
-    states: list[np.ndarray]
+    states: np.ndarray  # (steps + 1, n): the start, then the state after each step
     stop_reason: StopReason
     residual: float  # last sup-norm step (CONVERGED/MAX_ITER) or norm at divergence
 
@@ -340,16 +341,35 @@ def _run(op, s, max_iter, tol, bound, direction=0, floor=None, states=None, norm
     return point, its, res, status
 
 
+class _Rows:
+    """``_run``'s ``states`` for a batch of one column: each new state is
+    copied into one array of rows, which doubles when full, up to ``limit``."""
+
+    def __init__(self, first: np.ndarray, limit: int):
+        self.rows, self.count, self.limit = np.empty((min(limit, 64), len(first))), 1, limit
+        self.rows[0] = first
+
+    def append(self, state: np.ndarray) -> None:
+        if self.count == len(self.rows):
+            grown = np.empty((min(2 * self.count, self.limit), self.rows.shape[1]))
+            grown[: self.count] = self.rows
+            self.rows = grown
+        self.rows[self.count] = state[:, 0]
+        self.count += 1
+
+
 def iterate(op, s0: np.ndarray, stop: StopRule = StopRule()) -> Trajectory:
     """Run the discrete-time system ``s <- T(s)`` and record the states.
 
     Stops when the sup-norm step falls to ``stop.tol`` (converged), after
     ``stop.max_iter`` steps, or when the norm passes the divergence bound.
+    The states are the rows of one array of at most ``stop.max_iter + 1``
+    rows of ``n`` floats.
     """
     s = np.asarray(s0, dtype=float).copy()
-    steps: list[np.ndarray] = []
-    _, _, res, status = _run(as_operator(op), s[:, None], stop.max_iter, stop.tol, stop.bound_for(s), states=steps)
-    return Trajectory([s] + [x[:, 0] for x in steps], status[0], float(res[0]))
+    rows = _Rows(s, stop.max_iter + 1)
+    _, _, res, status = _run(as_operator(op), s[:, None], stop.max_iter, stop.tol, stop.bound_for(s), states=rows)
+    return Trajectory(rows.rows[: rows.count], status[0], float(res[0]))
 
 
 def _fixed_point_stops(b: np.ndarray, s0: np.ndarray, stop: StopRule):
@@ -550,12 +570,14 @@ def _grid(r_grid: Sequence[float] | None, k: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _Rays:
     """A ``_ray_batch``: the table's norms, the least-fixed-point columns ``(point,
-    iterations, residual, status)`` on ``fp_grid``, and ``top``'s ``(point, iterations, status, norms)``."""
+    iterations, residual, status)`` on ``fp_grid``, and per radius in ``tops``
+    its descent column ``(point, iterations, status, norms)`` in ``descents``."""
 
     kl: np.ndarray
     fp_grid: np.ndarray
     fp: tuple
-    top: tuple | None = None
+    tops: tuple = ()
+    descents: tuple = ()
 
     def fixed_points(self, r_grid: Sequence[float]) -> tuple:
         """The least-fixed-point columns of ``r_grid``, in its order; ``fp_grid``
@@ -564,20 +586,25 @@ class _Rays:
         point, its, res, status = self.fp
         return point[:, k], its[k], res[k], [status[j] for j in k]
 
+    def descent(self, r: float) -> tuple:
+        """The descent column from ``r * ones``; ``tops`` must hold ``r``."""
+        return self.descents[self.tops.index(r)]
 
-def _ray_batch(op: GainOperator, table_grid: np.ndarray, n_max: int, fp_grid: np.ndarray, fp_cap: int, stop: StopRule, top: float | None = None) -> _Rays:
+
+def _ray_batch(op: GainOperator, table_grid: np.ndarray, n_max: int, fp_grid: np.ndarray, fp_cap: int, stop: StopRule, tops: Sequence[float] = ()) -> _Rays:
     """One ``_run`` batch of rays ``r * ones``: table columns ``T^k(r * ones)``
     for ``table_grid`` (tol 0, bound 1e30, cap ``n_max``, norms recorded),
     least-fixed-point columns ``s <- r * ones max T(s)`` for ``fp_grid``
-    (``_fixed_point_stops``, cap ``fp_cap``), and given ``top``, a table
-    column ``s <- top * ones min T(s)`` that must descend; ``table_grid``
+    (``_fixed_point_stops``, cap ``fp_cap``), and for each ``r`` in ``tops``
+    a table column ``s <- r * ones min T(s)`` that must descend; ``table_grid``
     may be empty.  T acts on each column alone, bit for bit, so each column
     ends as a batch of its own kind would end it.  Tol 0 stops a table ray
     only at an exact fixed point and 1e30 at hopeless growth; either way
     its last norm fills the rest of its row.
     """
-    t, f, d = len(table_grid), len(fp_grid), int(top is not None)
-    grid = np.concatenate((table_grid, fp_grid, [top] * d))
+    tops = tuple(float(r) for r in tops)
+    t, f, d = len(table_grid), len(fp_grid), len(tops)
+    grid = np.concatenate((table_grid, fp_grid, tops))
     cols = len(grid)
     kl = np.zeros((cols, n_max + 1))
     kl[:, 0] = grid
@@ -589,9 +616,9 @@ def _ray_batch(op: GainOperator, table_grid: np.ndarray, n_max: int, fp_grid: np
     direction = np.concatenate((np.zeros(t), np.ones(f), -np.ones(d)))
     ceiling = np.where(np.arange(cols) < t + f, np.inf, grid)[None, :] if d else None
     point, its, res, status = _run(op, np.ones((op.n, cols)) * grid, cap, tol, bound, direction, floor, norms=kl, ceiling=ceiling)
-    fp, descent = slice(t, t + f), (point[:, -1], int(its[-1]), status[-1], kl[-1]) if d else None
+    fp, descents = slice(t, t + f), tuple((point[:, k], int(its[k]), status[k], kl[k]) for k in range(t + f, cols))
     kl = np.where(np.arange(n_max + 1) <= its[:t, None], kl[:t], kl[np.arange(t), its[:t]][:, None])
-    return _Rays(kl, fp_grid, (point[:, fp], its[fp], res[fp], status[fp]), descent)
+    return _Rays(kl, fp_grid, (point[:, fp], its[fp], res[fp], status[fp]), tops, descents)
 
 
 def stability_battery(

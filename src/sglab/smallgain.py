@@ -1,20 +1,21 @@
 """Small-gain condition probes and class-specific decidable checks.
 
-Every check returns an ``SgcVerdict``.  No-joint-increase is decided
-between the ends of the ray grid by one clamped descent, a column of
-``check``'s ray batch: ``pass``, or ``fail`` with a counterexample.  The
-uniform variant (sampled) and maximum bounded invertibility (on rays) are
-probed: ``fail`` with a machine-checkable counterexample or ``evidence``;
-the uniform variant reads every depth of its neighborhoods off one
-max-propagation of the decaying sample values over in-edges.  Otherwise
-``pass`` is reserved for the decidable subclasses: cycle-gain checks on
-a declared interval for max aggregation, and a power iterate ``T^n(1)``
-of norm below 1 for homogeneous operators.  A run that stops undecided
-is ``inconclusive``.
+Every check returns an ``SgcVerdict``.  No-joint-increase and its uniform
+variant are decided by one rule, each on its own clamped descent, a
+column of ``check``'s ray batch: ``pass`` on an annulus of norms, or
+``fail`` with a counterexample.  Maximum bounded invertibility is probed
+on rays: ``fail`` with a machine-checkable counterexample or ``evidence``.
+Otherwise ``pass`` is reserved for the decidable subclasses: cycle-gain
+checks on a declared interval for max aggregation, and, for linear gains,
+a power iterate ``T^n(1)`` of norm below 1 or, for sum aggregation, the
+solution ``x > 0`` of ``(I - A) x = 1`` with ``T(x) < x``.  A run that
+stops undecided is ``inconclusive``.
 
-Samplers draw a deterministic prefix (rays, unit bumps, cycle profiles)
-before any seeded randomness, so canonical counterexamples are found
-regardless of seed.
+No probe samples.  ``cone_samples`` remains a library sampler of cone
+vectors, which ``perfbench/spans.py`` still traces under this module's
+name: it draws a deterministic prefix (rays, unit bumps, cycle profiles)
+before any seeded randomness, so canonical vectors come out regardless
+of seed.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def cone_samples(net: GainNetwork, cfg: SamplerConfig, rho: KFun | None = None, 
     """Sample matrix (columns are cone vectors), deterministic prefix first.
 
     ``scale_cap`` restricts all columns to the closed norm ball of that
-    radius (used by the uniform probe).  The random columns after the
+    radius.  No probe calls the sampler.  The random columns after the
     prefix are a compatibility contract: they are the columns
     ``_draw_group`` draws from ``default_rng([seed, 0xC0DE])``, group
     after group, decoded in bulk (``_draw_groups``) to the same bits.
@@ -265,104 +266,82 @@ def _draw_groups(rng: np.random.Generator, s: np.ndarray, k: int, log_lo: float,
 # -- probes ----------------------------------------------------------------
 
 
-def nji_probe(net: GainNetwork, rho: KFun | None = None, r_grid: Sequence[float] | None = None, *, _rays: _Rays | None = None) -> SgcVerdict:
-    """Decide no-joint-increase, no ``s != 0`` with ``T(s) >= s``, on ``eps <= ||s|| <= R``,
-    the bottom and the top of the grid.
+def _descent_verdict(condition: str, op, column: tuple, r: float, eps: float) -> SgcVerdict:
+    """The one reading of a clamped descent ``s <- r * ones min T(s)`` from
+    ``r * ones``, a ``_Rays.descent`` column, on the annulus ``eps <= ||s|| <= r``.
 
-    The descent ``s <- R * ones min T(s)`` from ``R * ones`` decreases and
-    stays above every joint increase of norm at most ``R`` (``s <= s_k``
-    gives ``s <= T(s) <= T(s_k)``).  So a descent that stops at ``s != 0``
-    is one (``fail``), and a norm below ``eps`` rules them out of the
-    annulus (``pass``).  It is ``check``'s batch column, passed as
-    ``_rays``, or a batch of its own, capped at 256 steps like the table;
-    a cap reached or a step that rises (T not monotone) is ``inconclusive``.
+    The descent decreases and stays above every joint increase (``T(s) >= s``)
+    of norm at most ``r``: ``s <= s_k`` gives ``s <= r * ones min T(s) <=
+    s_{k+1}``.  So a recorded norm below ``eps`` puts every joint increase of
+    the ``r``-ball below ``eps`` (``pass``), and so does a stop at some ``s``
+    with ``||s|| < eps``, which is recorded too.  A stop at ``s`` with
+    ``||s|| >= eps`` is a joint increase in the annulus (``fail``; ``s`` and
+    ``T(s)`` replay it in one application).  A cap reached above ``eps``, or a
+    step that rises (T not monotone in floating point), is ``inconclusive``.
     """
-    op, grid = as_operator(net, rho), _grid(r_grid, 8)
-    r, eps = float(grid[-1]), float(grid[0])
-    point, its, status, norms = (_rays or _ray_batch(op, (), 256, np.empty(0), 0, StopRule(), r)).top
+    point, its, status, norms = column
     below, note = np.flatnonzero(norms[1 : its + 1] < eps), "decided with the floating-point operator, not with outward-rounded bounds of T"
     if isinstance(status, MonotoneStepError):
         verdict, note = "inconclusive", f"the descent rose at step {its}: T is not monotone in floating point here"
-    elif status is StopReason.CONVERGED and np.any(point > 0):
-        verdict = "fail"
     elif below.size:
         verdict, its = "pass", int(below[0]) + 1
+    elif status is StopReason.CONVERGED:
+        verdict = "fail"
     else:
         verdict, note = "inconclusive", f"the descent reached its cap of {its} steps above eps"
     counterexample = {"s": point.tolist(), "image": op(point).tolist()} if verdict == "fail" else None
-    return SgcVerdict("nji", verdict, {"r": r, "eps": eps, "step": its, "norm": float(norms[its])}, counterexample, note=note)
+    return SgcVerdict(condition, verdict, {"r": r, "eps": eps, "step": its, "norm": float(norms[its])}, counterexample, note=note)
 
 
-def uniform_nji_probe(
-    net: GainNetwork,
-    r: float,
-    eps: float,
-    rho: KFun | None = None,
-    sampler: SamplerConfig = SamplerConfig(),
-) -> SgcVerdict:
-    """Probe the uniform no-joint-increase condition at level ``(r, eps)``.
+def _descent(op, r: float, rays: _Rays | None) -> tuple:
+    """The descent column from ``r * ones``: ``rays``' own, or a batch of its own capped at 256 steps like the table."""
+    return (rays or _ray_batch(op, (), 256, np.empty(0), 0, StopRule(), (r,))).descent(r)
 
-    For each sampled ``s`` in the norm-``r`` ball and each active entry,
-    a node ``i`` with ``s_i >= eps``, some node within ``n`` hops upstream
-    must carry value at least ``delta`` and strictly decay.  With
-    ``M_0 = s * [T(s) < s]`` and ``M_n[i]`` the maximum of ``M_{n-1}`` over
-    ``i`` and its in-neighbors, ``M_n[i]`` is the largest decaying value
-    within ``n`` hops, so ``(n, delta)`` holds exactly when ``delta`` is at
-    most the least ``M_n`` over the active entries: max and comparison
-    round nothing, so this is exact in floats.  Each sample is its own
-    column, and one without an active entry constrains nothing, so it is
-    dropped.  The witness is the smallest depth ``n <= min(net.n, 8)``
-    admitting a ``delta`` of the grid ``1, 1/2, ..., 2**-8``, with the
-    largest such ``delta``; otherwise the counterexample is the first node
-    with an active entry below ``2**-8`` at that depth, at its first sample.
+
+def nji_probe(net: GainNetwork, rho: KFun | None = None, r_grid: Sequence[float] | None = None, *, _rays: _Rays | None = None) -> SgcVerdict:
+    """Decide no-joint-increase, no ``s != 0`` with ``T(s) >= s``, on ``eps <= ||s|| <= R``,
+    the bottom and the top of the grid, by ``_descent_verdict`` on the descent
+    from ``R * ones``: ``check``'s batch column, passed as ``_rays``, or a batch
+    of its own."""
+    op, grid = as_operator(net, rho), _grid(r_grid, 8)
+    r, eps = float(grid[-1]), float(grid[0])
+    return _descent_verdict("nji", op, _descent(op, r, _rays), r, eps)
+
+
+def uniform_nji_probe(net: GainNetwork, r: float, eps: float, rho: KFun | None = None, *, _rays: _Rays | None = None) -> SgcVerdict:
+    """Decide the uniform no-joint-increase condition at level ``(r, eps)``.
+
+    The condition asks for a depth ``n`` and a ``delta > 0`` such that for
+    every ``s`` of norm at most ``r`` and every node ``i`` with ``s_i >= eps``,
+    some node within ``n`` hops upstream of ``i`` carries ``s_j >= delta`` and
+    decays, ``T(s)_j < s_j``.  On a finite network that is no-joint-increase
+    on the annulus ``eps <= ||s|| <= r``.  A joint increase there, at its
+    largest entry ``i``, has no decaying node at all.  Conversely, zero ``s``
+    outside the nodes that reach ``i``: that set is closed under in-edges,
+    so T keeps its values there, and the result has norm in ``[eps, r]``.
+    It is not a joint increase, so some node upstream of ``i`` decays, within
+    ``n`` hops.  The largest decay upstream of ``i``, ``max_j (s_j - T(s)_j)``,
+    is then positive and continuous on the compact set of such ``s``, so its
+    least value is one ``delta > 0`` for them all, and the decaying ``s_j``
+    is at least its decay.  The annulus is decided by
+    ``_descent_verdict`` on the descent from ``r * ones``: ``check``'s batch
+    column, passed as ``_rays``, or a batch of its own.
     """
     if not 0 < eps <= r:
         raise ValueError("need 0 < eps <= r")
     op = as_operator(net, rho)
-    deltas = [2.0**-k for k in range(0, 9)]
-    n_max = min(net.n, 8)  # depth beyond 8 buys nothing on probe budgets
-    s = cone_samples(net, sampler, rho, scale_cap=r)
-    cols = np.flatnonzero(np.any(s >= eps, axis=0))
-    t = op(s[:, cols])  # T acts on each column alone: only the columns read are applied
-    nbrs = net.graph.in_neighbors
-    deg = np.fromiter(map(len, nbrs), int, net.n)
-    order = np.argsort(-deg, kind="stable")  # rows by in-degree: each slot updates a prefix, not a scatter
-    row = np.argsort(order)  # the row of each node
-    # slot k: the k-th in-neighbor of each node with more than k in-edges
-    slots = [row[[nbrs[v][k] for v in order[: np.count_nonzero(deg > k)]]] for k in range(deg.max())]
-    m = s[np.ix_(order, cols)]
-    active = np.flatnonzero(m >= eps)  # the active entries, as indices into m.ravel()
-    m = np.where(t[order] < m, m, 0.0)
-    for n in range(1, n_max + 1):
-        prev = m.copy()
-        for js in slots:
-            np.maximum(m[: len(js)], prev[js], out=m[: len(js)])
-        least = m.ravel().take(active).min(initial=np.inf)
-        if least >= deltas[-1]:
-            return SgcVerdict(
-                condition="uniform_nji",
-                status="evidence",
-                witness={"n": n, "delta": next(d for d in deltas if d <= least), "r": r, "eps": eps},
-                samples=s.shape[1],
-                budget=sampler.budget,
-            )
-    i, k = divmod(int(np.argmax((s[:, cols] >= eps) & (m[row] < deltas[-1]))), len(cols))
-    return SgcVerdict(
-        condition="uniform_nji",
-        status="fail",
-        counterexample={"s": s[:, cols[k]].tolist(), "image": t[:, k].tolist(), "i": i, "n": n_max, "delta": deltas[-1]},
-        samples=s.shape[1],
-        budget=sampler.budget,
-    )
+    return _descent_verdict("uniform_nji", op, _descent(op, float(r), _rays), float(r), float(eps))
 
 
-def _check_rays(net: GainNetwork, rho: KFun | None, r_grid: Sequence[float] | None, n_max: int, descent: bool = False) -> _Rays:
+def _check_rays(net: GainNetwork, rho: KFun | None, r_grid: Sequence[float] | None, n_max: int, uniform_r: float | None = None) -> _Rays:
     """``check``'s one ray batch: ``stability_battery``'s table on its grid,
     the least fixed points on the union of its grid and ``max_mbi_probe``'s,
-    to ``StopRule()``'s cap, and with ``descent`` ``nji_probe``'s descent from
-    the grid's top; each reads it as ``_rays``."""
+    to ``StopRule()``'s cap, and, given ``uniform_r``, the descents of
+    ``nji_probe`` from the grid's top and of ``uniform_nji_probe`` from
+    ``uniform_r``; each reads it as ``_rays``."""
     table, stop = _grid(r_grid, 8), StopRule()
-    return _ray_batch(as_operator(net, rho), table, n_max, np.union1d(table, _grid(r_grid, 10)), stop.max_iter, stop, table[-1] if descent else None)
+    tops = () if uniform_r is None else (table[-1], uniform_r)
+    return _ray_batch(as_operator(net, rho), table, n_max, np.union1d(table, _grid(r_grid, 10)), stop.max_iter, stop, tops)
 
 
 def max_mbi_probe(
@@ -478,12 +457,20 @@ def cycle_gain_check(
     )
 
 
+_SOLVE_MAX_NODES = 500  # sum networks up to this size get the linear solve when the power iteration stops undecided
+
+
 def spectral_condition(net: GainNetwork, n_max: int = 64, rho: KFun | None = None) -> SgcVerdict:
     """Power-iteration test ``||T^n(ones)|| < 1`` for homogeneous operators.
 
     The operator is homogeneous by construction (linear gains with max/sum
     aggregation, and a linear enlargement if given); the test passes
-    when the threshold is reached, and otherwise it is inconclusive, with
+    when the threshold is reached.  Otherwise, on a sum network of at most
+    ``_SOLVE_MAX_NODES`` nodes, T is ``x -> A x`` for the slope matrix ``A``
+    (times ``1 + k`` under ``rho = linear(k)``), and ``x`` solving
+    ``(I - A) x = 1`` with ``x > 0`` and ``T(x) < x`` in one application
+    proves ``rho(A) < 1`` (Collatz-Wielandt: ``rho(A) <= max_i (A x)_i / x_i``);
+    ``x`` and ``T(x)`` are the witness.  Else the test is inconclusive, with
     the observed growth ratio and the last norms as its witness.
     """
     if net.uniform_maf not in ("max", "sum"):
@@ -504,6 +491,19 @@ def spectral_condition(net: GainNetwork, n_max: int = 64, rho: KFun | None = Non
                 status="pass",
                 witness={"n": n, "norm": norms[-1]},
             )
+    if net.uniform_maf == "sum" and net.n <= _SOLVE_MAX_NODES:
+        a = np.zeros((net.n, net.n))
+        for j, i, g in net.edges:
+            a[i, j] += g.final_slope
+        a *= 1.0 if rho is None else 1.0 + rho.final_slope
+        try:
+            x = np.linalg.solve(np.eye(net.n) - a, np.ones(net.n))
+        except np.linalg.LinAlgError:  # I - A singular: 1 is an eigenvalue of A
+            x = np.zeros(net.n)
+        # NaN entries fail x > 0, infinite ones T(x) < x
+        if np.all(x > 0) and np.all((image := op(x)) < x):
+            note = "Collatz-Wielandt: x > 0 and T(x) < x, with the floating-point operator, give a spectral radius below 1"
+            return SgcVerdict("spectral", "pass", {"x": x.tolist(), "image": image.tolist()}, note=note)
     n0 = max(n_max // 2, 1)
     ratio = (norms[-1] / norms[n0]) ** (1.0 / (n_max - n0)) if norms[n0] > 0 else 0.0
     return SgcVerdict(

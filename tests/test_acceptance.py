@@ -12,7 +12,6 @@ import numpy as np
 from sglab import (
     MAX,
     SUM,
-    SamplerConfig,
     as_operator,
     build_network,
     chain_template,
@@ -306,7 +305,7 @@ def test_ac9_nji_equivalence():
         slope_range = (1.2, 2.0) if expanding else (0.1, 0.7)
         net = random_network(rng, n_max=4, slope_range=slope_range, p_edge=0.6)
         plain = nji_probe(net)
-        uniform = uniform_nji_probe(net, r=1.0, eps=0.25, sampler=SamplerConfig(budget=10_000))
+        uniform = uniform_nji_probe(net, r=1.0, eps=0.25)
         if plain.failed != uniform.failed:
             disagreements += 1
     ok = disagreements == 0

@@ -14,11 +14,9 @@ batched, with the descent's slack covering the top's tolerance.
 ``frozen_battery`` and ``frozen_mbi`` are the stability battery (its
 ray table and augmented rays as two runs) and ``max_mbi_probe`` (ray by
 ray) as they ran before ``check``'s rays became one batch.
-``frozen_uniform_nji`` is ``uniform_nji_probe`` as it ran before it became
-one max-propagation per depth: a loop over depth, the δ grid and the nodes,
-with one ``neighborhood`` set per node and depth.  ``frozen_ray_batch`` is
-``_ray_batch`` before it could hold ``nji_probe``'s descent column, and
-``serial_descent`` that descent stepped alone.
+``frozen_ray_batch`` is ``_ray_batch`` before it could hold descent
+columns, and ``serial_descent`` one descent stepped alone: ``nji_probe``
+and ``uniform_nji_probe`` read their columns as it steps.
 Batched results must match them bit for bit, including the first
 failure a grid scan reports.
 """
@@ -41,7 +39,6 @@ from sglab import (
     MonotoneSamples,
     MonotoneStepError,
     PathConstructionError,
-    SamplerConfig,
     SgcVerdict,
     Side,
     StabilityReport,
@@ -52,7 +49,6 @@ from sglab import (
     chain_template,
     cofinality_witness,
     combined_path,
-    cone_samples,
     default_knots,
     envelope,
     factor_id_plus,
@@ -841,7 +837,7 @@ class TestCheckRayBatch:
                     mp.setattr(cli_mod, "stability_battery", frozen_battery)
                     mp.setattr(cli_mod, "max_mbi_probe", frozen_mbi)
                 out = tmp_path / f"cert-{frozen}.json"
-                code = cli_mod.main(["check", str(path), "--budget", "50", "--out", str(out), *flags])
+                code = cli_mod.main(["check", str(path), "--out", str(out), *flags])
             certs.append((code, WALL.sub(b"", out.read_bytes())))
         assert certs[0] == certs[1]
         return json.loads(certs[0][1])
@@ -931,7 +927,7 @@ class TestCheckRayBatch:
         monkeypatch.setattr(GainOperator, "__call__", counted)
         for name in ("_check_rays", "stability_battery", "max_mbi_probe"):
             monkeypatch.setattr(cli_mod, name, stage(getattr(cli_mod, name)))
-        assert cli_mod.main(["check", str(path), "--budget", "50", "--out", str(tmp_path / "cert.json")]) == 1
+        assert cli_mod.main(["check", str(path), "--out", str(tmp_path / "cert.json")]) == 1
         monkeypatch.undo()
         op = as_operator(network_from_dict(CHECK_NETS["rho_sum3"])[0])
         slowest = max(serial_min_fixed_point(op, r * np.ones(3), StopRule())[1] for r in default_knots(-10, 10))
@@ -973,14 +969,16 @@ class TestDescentColumn:
         descents = set()
         for op in nets:
             for table, fp_grid, n_max in [(default_knots(-8, 8), default_knots(-10, 10), 256), (default_knots(-2, 3), default_knots(-2, 3), 64)]:
-                rays = _ray_batch(op, table, n_max, fp_grid, StopRule().max_iter, StopRule(), top=float(table[-1]))
+                tops = (float(table[-1]), 1.0)
+                rays = _ray_batch(op, table, n_max, fp_grid, StopRule().max_iter, StopRule(), tops)
                 kl, fp = frozen_ray_batch(op, table, n_max, fp_grid, StopRule().max_iter, StopRule())
                 assert same(rays.kl, kl) and same(rays.fp[0], fp[0]) and same(rays.fp[1], fp[1]) and same(rays.fp[2], fp[2])
                 assert [(type(a), str(a)) for a in rays.fp[3]] == [(type(b), str(b)) for b in fp[3]]
-                point, its, status, norms = rays.top
-                want = serial_descent(op, float(table[-1]), n_max)
-                assert same(point, want[0]) and its == want[1] and status is want[2] and same(norms[: its + 1], want[3])
-                descents.add(status)
+                for r in tops:
+                    point, its, status, norms = rays.descent(r)
+                    want = serial_descent(op, r, n_max)
+                    assert same(point, want[0]) and its == want[1] and status is want[2] and same(norms[: its + 1], want[3])
+                    descents.add(status)
         assert descents == {StopReason.CONVERGED, StopReason.MAX_ITER}
 
     def test_without_the_descent_the_batch_is_the_frozen_one(self):
@@ -988,7 +986,7 @@ class TestDescentColumn:
             op = as_operator(net)
             rays = _ray_batch(op, default_knots(-3, 3), 32, default_knots(-4, 4), 500, StopRule())
             kl, fp = frozen_ray_batch(op, default_knots(-3, 3), 32, default_knots(-4, 4), 500, StopRule())
-            assert rays.top is None and same(rays.kl, kl) and same(rays.fp[0], fp[0]) and same(rays.fp[1], fp[1])
+            assert rays.descents == () and same(rays.kl, kl) and same(rays.fp[0], fp[0]) and same(rays.fp[1], fp[1])
 
 
 def replays(op, verdict):
@@ -1025,6 +1023,14 @@ class TestNjiDescent:
         v = nji_probe(network_from_dict(CHECK_NETS["nearcrit"])[0])
         assert v.status == "inconclusive" and v.witness["step"] == 256 and v.counterexample is None
 
+    def test_a_joint_increase_below_eps_passes_on_the_annulus(self):
+        # the gains are the identity up to 0.001 and contract above it: every joint
+        # increase lies below 0.001 * ones, under eps = 2**-8, and the descent says so
+        # at its first norm below eps, before it stops at 0.001 * ones (step 72)
+        g = KFun([0.0, 0.001], [0.0, 0.001], 0.5)
+        v = nji_probe(build_network(2, [(0, 1, g), (1, 0, g)], MAX))
+        assert v.status == "pass" and v.witness["step"] == 17 and v.witness["norm"] < 2.0**-8
+
     def test_a_rising_step_is_inconclusive(self):
         v = nji_probe(rising_network())
         assert v.status == "inconclusive" and v.witness["step"] == 3 and "rose" in v.note
@@ -1035,8 +1041,9 @@ class TestNjiDescent:
         for name in ("nearcrit", "rho_sum3"):
             net = network_from_dict(CHECK_NETS[name])[0]
             for rho, grid in [(None, None), (linear(0.1), default_knots(-3, 3))]:
-                rays = cli_mod._check_rays(net, rho, grid, 256, descent=True)
+                rays = cli_mod._check_rays(net, rho, grid, 256, uniform_r=1.0)
                 assert nji_probe(net, rho, grid, _rays=rays).to_dict() == nji_probe(net, rho, grid).to_dict()
+                assert uniform_nji_probe(net, 1.0, 0.25, rho, _rays=rays).to_dict() == uniform_nji_probe(net, 1.0, 0.25, rho).to_dict()
 
 
 class TestDistinctTops:
@@ -1074,59 +1081,6 @@ class TestDistinctTops:
         assert checked >= 10
 
 
-def frozen_uniform_nji(net, r, eps, rho=None, sampler=SamplerConfig()):
-    """``uniform_nji_probe`` as a loop over depth, the δ grid and the nodes."""
-    if not 0 < eps <= r:
-        raise ValueError("need 0 < eps <= r")
-    op = as_operator(net, rho)
-    deltas = [2.0**-k for k in range(0, 9)]
-    n_max = min(net.n, 8)  # depth beyond 8 buys nothing on probe budgets
-    s = cone_samples(net, sampler, rho, scale_cap=r)
-    t = op(s)
-    decays = t < s
-    reach: dict[tuple[int, int], np.ndarray] = {}
-    violation = None
-    for n in range(1, n_max + 1):
-        for i in range(net.n):
-            reach[(i, n)] = np.fromiter(sorted(neighborhood(net.graph, i, n)), dtype=int)
-        for delta in deltas:
-            ok = True
-            for i in range(net.n):
-                active = s[i] >= eps
-                if not np.any(active):
-                    continue
-                js = reach[(i, n)]
-                exists = np.any((s[js] >= delta) & decays[js], axis=0)
-                bad = active & ~exists
-                if np.any(bad):
-                    ok = False
-                    if n == n_max and delta == deltas[-1]:
-                        k = int(np.argmax(bad))
-                        violation = {
-                            "s": s[:, k].tolist(),
-                            "image": t[:, k].tolist(),
-                            "i": i,
-                            "n": n,
-                            "delta": delta,
-                        }
-                    break
-            if ok:
-                return SgcVerdict(
-                    condition="uniform_nji",
-                    status="evidence",
-                    witness={"n": n, "delta": delta, "r": r, "eps": eps},
-                    samples=s.shape[1],
-                    budget=sampler.budget,
-                )
-    return SgcVerdict(
-        condition="uniform_nji",
-        status="fail",
-        counterexample=violation,
-        samples=s.shape[1],
-        budget=sampler.budget,
-    )
-
-
 def hub_network(k):
     """Node 0 listens to ``k`` nodes, contracting and expanding in turn, and each of them to node 0."""
     edges = [(j, 0, linear(0.3 if j % 2 else 1.5)) for j in range(1, k + 1)]
@@ -1150,54 +1104,132 @@ UNIFORM_NETS = {
 UNIFORM_RHOS = [None, linear(0.05), KFun([0.0, 0.5, 2.0], [0.0, 0.02, 0.2], 0.05)]
 
 
+def upstream_decay_holds(op, net, s, r, eps):
+    """For every column of ``s`` in the ``r``-ball and every node ``i`` with
+    ``s_i >= eps``, some node that reaches ``i`` decays: the uniform condition's
+    requirement, checked node by node through ``neighborhood``."""
+    t = op(s)
+    for i in range(net.n):
+        js = sorted(neighborhood(net.graph, i, net.n))
+        active = (s[i] >= eps) & (s.max(axis=0) <= r)
+        if np.any(active & ~np.any(t[js] < s[js], axis=0)):
+            return False
+    return True
+
+
+def ball_samples(rng, n, r, count=400):
+    """Vectors of norm at most ``r``: rays, unit bumps and random vectors, each scaled to a random norm."""
+    s = rng.uniform(0.0, 1.0, size=(n, count)) * rng.choice([0.0, 1.0], size=(n, count), p=[0.3, 0.7])
+    s[:, : count // 4] = 1.0
+    s[:, count // 4 : count // 2] = np.eye(n)[:, rng.integers(n, size=count // 4)]
+    norms = s.max(axis=0)
+    s = s[:, norms > 0] / norms[norms > 0]
+    return s * rng.uniform(0.0, r, size=s.shape[1])
+
+
 class TestUniformNjiPropagation:
-    """``uniform_nji_probe`` decided by one max-propagation per depth gives
-    the verdict of the node-by-node loop, ``frozen_uniform_nji``, on every
-    level, budget and enlargement, with its first counterexample."""
+    """``uniform_nji_probe`` reads its own descent column, which propagates
+    decay downstream one hop per step: its verdict is the one-column
+    ``serial_descent`` read by the annulus rule, a ``fail`` replays a joint
+    increase on ``eps <= ||s|| <= r``, and after a ``pass`` every sampled
+    vector of the ``r``-ball has a decaying node upstream of each entry
+    ``>= eps`` (checked node by node)."""
 
     @staticmethod
-    def outcome(v):
-        return "fail" if v.failed else "evidence n=1" if v.witness["n"] == 1 else "evidence n>=2"
+    def checked(net, r, eps, rho, rng):
+        op, got = as_operator(net, rho), uniform_nji_probe(net, r, eps, rho)
+        point, its, status, norms = serial_descent(op, r, 256)
+        below = [k for k in range(1, its + 1) if norms[k] < eps]
+        if got.status == "pass":
+            assert got.witness["step"] == below[0]
+            assert upstream_decay_holds(op, net, ball_samples(rng, net.n, r), r, eps)
+        elif got.status == "fail":
+            s = np.asarray(got.counterexample["s"])
+            assert not below and status is StopReason.CONVERGED and same(s, point)
+            assert replays(op, got) and eps <= sup_norm(s) <= r
+        else:
+            assert got.status == "inconclusive" and not below and its == 256 or isinstance(status, MonotoneStepError)
+        return got.status
 
     def test_random_networks(self):
         nets = random_networks(101, 9) + [crossing_network(np.random.default_rng(seed), L2) for seed in (3, 4)]
-        levels = [(1.0, 1.0, 50), (4.0, 2.0**-6, 50), (0.5, 0.5, 300)]
+        rng = np.random.default_rng(5)
         seen = set()
         for net in nets:
             for rho in UNIFORM_RHOS:
-                for r, eps, budget in levels + [(1.0, 0.25, 10_000)] * (rho is None):
-                    cfg = SamplerConfig(seed=5, budget=budget)
-                    got = uniform_nji_probe(net, r, eps, rho, cfg)
-                    assert got.to_dict() == frozen_uniform_nji(net, r, eps, rho, cfg).to_dict()
-                    seen.add(self.outcome(got))
-        assert seen == {"evidence n=1", "evidence n>=2", "fail"}
+                for r, eps in [(1.0, 1.0), (4.0, 2.0**-6), (0.5, 0.5), (1.0, 0.25)]:
+                    seen.add(self.checked(net, r, eps, rho, rng))
+        assert seen == {"pass", "fail"}
 
     @pytest.mark.parametrize("name", sorted(UNIFORM_NETS))
     def test_special_networks(self, name):
-        net = UNIFORM_NETS[name]
+        rng = np.random.default_rng(7)
         for rho in UNIFORM_RHOS:
-            for r, eps, budget in [(1.0, 0.25, 10_000), (1.0, 1.0, 50), (2.0, 2.0**-9, 2000)]:
-                for seed in (0, 7):
-                    cfg = SamplerConfig(seed=seed, budget=budget)
-                    assert uniform_nji_probe(net, r, eps, rho, cfg).to_dict() == frozen_uniform_nji(net, r, eps, rho, cfg).to_dict()
+            for r, eps in [(1.0, 0.25), (1.0, 1.0), (2.0, 2.0**-9)]:
+                self.checked(UNIFORM_NETS[name], r, eps, rho, rng)
 
     def test_one_application_and_no_neighborhood(self, monkeypatch):
-        """One operator application, on the samples with an entry >= eps alone, and no breadth-first neighborhood."""
+        """Read off ``check``'s batch, the probe walks no neighborhood and applies
+        T only to replay a ``fail``'s counterexample: once, on one column."""
+        import sglab.cli as cli_mod
         import sglab.network as network_mod
         import sglab.smallgain as smallgain_mod
 
         def refuse(*_):
             raise AssertionError("uniform_nji_probe walked a neighborhood")
 
-        calls, draws = [], []
-        real_call, real_samples = GainOperator.__call__, smallgain_mod.cone_samples
+        calls = []
+        real_call = GainOperator.__call__
         monkeypatch.setattr(network_mod, "neighborhood", refuse)
         monkeypatch.setattr(smallgain_mod, "neighborhood", refuse, raising=False)
-        monkeypatch.setattr(GainOperator, "__call__", lambda self, s: calls.append(s.shape) or real_call(self, s))
-        monkeypatch.setattr(smallgain_mod, "cone_samples", lambda *a, **k: draws.append(a[0]) or real_samples(*a, **k))
-        for net in (UNIFORM_NETS["sigma_1_1_chain50"], UNIFORM_NETS["hub22"]):
+        statuses = set()
+        for net in (UNIFORM_NETS["sigma_1_1_chain50"], UNIFORM_NETS["hub22"], UNIFORM_NETS["sum4_linear"]):
+            rays = cli_mod._check_rays(net, None, None, 256, uniform_r=1.0)
             calls.clear()
-            draws.clear()
-            uniform_nji_probe(net, 1.0, 0.25, sampler=SamplerConfig(budget=500))
-            read = np.count_nonzero(np.any(real_samples(net, SamplerConfig(budget=500), scale_cap=1.0) >= 0.25, axis=0))
-            assert calls == [(net.n, read)] and 0 < read < 500 and draws == [net]
+            monkeypatch.setattr(GainOperator, "__call__", lambda self, s: calls.append(s.shape) or real_call(self, s))
+            v = uniform_nji_probe(net, 1.0, 0.25, _rays=rays)
+            monkeypatch.setattr(GainOperator, "__call__", real_call)
+            assert calls == ([(net.n,)] if v.failed else [])
+            statuses.add(v.status)
+        assert statuses == {"fail", "pass"}
+
+
+class TestUniformNjiBeyondItsGrid:
+    """Stable networks that the sampled probe failed only because its depth
+    (at most 8 hops) and its δ grid (down to 2**-8) ran out."""
+
+    def test_nearcrit_check_exits_0_with_spectral_pass(self, tmp_path):
+        import sglab.cli as cli_mod
+
+        path, out = tmp_path / "net.json", tmp_path / "cert.json"
+        path.write_text(json.dumps(CHECK_NETS["nearcrit"]))
+        assert cli_mod.main(["check", str(path), "--out", str(out)]) == 0
+        verdicts = {v["condition"]: v for v in json.loads(out.read_text())["verdicts"]}
+        assert verdicts["spectral"]["status"] == "pass" and verdicts["uniform_nji"]["status"] != "fail"
+
+    def test_linear_half_chain_of_50_is_not_a_fail(self):
+        net = chain_template(linear(0.5), SUM).instantiate(50)  # rho(A) = cos(pi / 51)
+        assert uniform_nji_probe(net, 1.0, 0.25).status != "fail"
+
+    def test_decay_more_than_8_hops_upstream_is_not_a_fail(self):
+        # node 0 reads nothing and so decays; every other node copies its predecessor
+        net = build_network(12, [(i - 1, i, linear(1.0)) for i in range(1, 12)], MAX)
+        v = uniform_nji_probe(net, 1.0, 0.25)
+        assert v.status == "pass" and v.witness["step"] == 12
+
+    def test_check_on_the_2000_node_chain_keeps_a_small_heap(self, tmp_path):
+        """No n x 10**4 sample matrix: the heap peak of the whole ``check`` stays
+        below 32 MiB on the 2,000-node chain (288 MiB with the sampled probes)."""
+        import sglab.cli as cli_mod
+
+        pl = {"type": "pl", "points": [[0, 0], [0.5, 0.2], [1, 0.3], [2, 0.5]], "final_slope": 0.2}
+        data = {"nodes": 2000, "maf": "sum", "template": {"offsets": [{"offset": -1, "gain": {"type": "linear", "k": 0.25}}, {"offset": 1, "gain": pl}]}}
+        path, out = tmp_path / "chain.json", tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        tracemalloc.start()
+        try:
+            code = cli_mod.main(["check", str(path), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 32 * 2**20

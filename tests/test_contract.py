@@ -5,7 +5,8 @@ Seeded random networks (max and sum aggregation, PL gains of slopes 0.1 to
 run must end in exit 0 or 1 with no exception, every verdict must carry
 one of the four statuses, exit 1 must come exactly with a ``fail``
 verdict, and an ``nji`` fail must replay ``T(s) >= s`` through one
-application of the operator.  Draw 2 of the sweep once made ``check`` exit
+application of the operator, a ``uniform_nji`` fail the same within its
+annulus ``eps <= ||s|| <= r``.  Draw 2 of the sweep once made ``check`` exit
 2 (a stability envelope built from norms that dipped), and draw 54 made
 ``path --method combined`` end in a traceback (an exhausted cap
 escalation in ``max_fixed_point``), then in ``inconclusive`` while the
@@ -27,7 +28,7 @@ from conftest import random_network
 
 STATUSES = {"pass", "fail", "evidence", "inconclusive"}
 COMMANDS = {
-    "check": ["check", "--budget", "500"],
+    "check": ["check"],
     "minimal": ["path", "--method", "minimal"],
     "combined": ["path", "--method", "combined"],
     "orbit": ["path", "--method", "orbit", "--start", "ray:1"],
@@ -70,6 +71,29 @@ def test_valid_networks_meet_the_contract(command, tmp_path):
             if v["condition"] == "nji" and v["status"] == "fail":
                 s = np.asarray(v["counterexample"]["s"])
                 assert np.any(s > 0) and np.all(as_operator(net)(s) >= s), f"draw {d}"
+            if v["condition"] == "uniform_nji" and v["status"] == "fail":
+                assert replays_in_its_annulus(net, v), f"draw {d}"
+
+
+def replays_in_its_annulus(net, verdict) -> bool:
+    """A ``uniform_nji`` fail: ``T(s) >= s`` through one application, with ``eps <= ||s|| <= r``."""
+    s, w = np.asarray(verdict["counterexample"]["s"]), verdict["witness"]
+    image = as_operator(net)(s)
+    return image.tolist() == verdict["counterexample"]["image"] and np.all(image >= s) and w["eps"] <= s.max() <= w["r"]
+
+
+def test_every_uniform_nji_fail_replays_on_150_draws(tmp_path):
+    """Over the 150-draw sweep, each ``uniform_nji`` fail replays in its annulus,
+    and ``nji`` never passes there: its descent from the grid's top lies above
+    that joint increase (on draws 42 and 100 it reaches its cap first, ``inconclusive``)."""
+    fails = 0
+    for d, net in enumerate(sweep_networks(150)):
+        _, verdicts = run(net, "check", tmp_path)
+        status = {v["condition"]: v for v in verdicts}
+        if status["uniform_nji"]["status"] == "fail":
+            fails += 1
+            assert replays_in_its_annulus(net, status["uniform_nji"]) and status["nji"]["status"] != "pass", f"draw {d}"
+    assert fails > 0
 
 
 def test_check_on_draw_2_fails_with_a_verdict(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,24 @@ class TestIterate:
         traj = iterate(two_node_half, np.zeros(2))
         assert traj.stop_reason is StopReason.CONVERGED
         assert sup_norm(traj.final) == 0.0
+
+    def test_states_are_rows_of_one_array(self):
+        """10,000 steps of the 2-node period-2 network: the states are one
+        (steps + 1, n) array, and the heap peak stays within 64 bytes a step,
+        against about 409 when each state was its own array."""
+        net = build_network(2, [(1, 0, linear(1.0)), (0, 1, linear(1.0))], MAX)
+        s0 = np.array([1.0, 2.0])
+        iterate(net, s0, StopRule(max_iter=3))  # the knot table is built once per network, outside the trace
+        tracemalloc.start()
+        try:
+            traj = iterate(net, s0, StopRule(max_iter=10_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.stop_reason is StopReason.MAX_ITER and traj.states.shape == (10_001, 2)
+        np.testing.assert_array_equal(traj.states[::2], np.tile([1.0, 2.0], (5_001, 1)))
+        np.testing.assert_array_equal(traj.states[1::2], np.tile([2.0, 1.0], (5_000, 1)))
+        assert peak < 64 * 10_000
 
     def test_nan_start_refused_at_the_first_step(self, two_node_half):
         # a NaN state passes neither the divergence nor the convergence test,

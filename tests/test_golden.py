@@ -12,16 +12,19 @@ which prints the name of each expected file whose bytes it rewrote, and
 says why in CHANGES.md; a performance change must leave them as they are.
 """
 
+import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sglab import as_operator, network_from_json
 from sglab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
-    "check": (["check", "--budget", "200", "--seed", "3", "--grid", "geometric:-3:3"], ["cert.json"]),
+    "check": (["check", "--seed", "3", "--grid", "geometric:-3:3"], ["cert.json"]),
     "minimal": (["path", "--method", "minimal"], ["cert.json", "path.json", "path.csv"]),
     "combined": (
         ["path", "--method", "combined", "--knots", "geometric:-2:2", "--rho", "linear:0.2", "--target-rho", "linear:0.01"],
@@ -59,6 +62,18 @@ def test_golden_bytes(net, case, tmp_path):
     assert sorted(texts) == sorted(expected)
     for name, text in texts.items():
         assert text == expected[name].read_text(), name
+
+
+@pytest.mark.parametrize("net", sorted({net for net, case in RUNS if case == "check"}))
+def test_uniform_nji_fails_replay_in_their_annulus(net):
+    """A committed ``uniform_nji`` fail is ``s`` with ``T(s) >= s`` and ``eps <= ||s|| <= r``."""
+    cert = json.loads((GOLDEN / "expected" / f"{net}.check.cert.json").read_text())
+    for v in cert["verdicts"]:
+        if v["condition"] == "uniform_nji" and v["status"] == "fail":
+            s = np.asarray(v["counterexample"]["s"])
+            image = as_operator(network_from_json(str(GOLDEN / f"{net}.json"))[0])(s)
+            assert image.tolist() == v["counterexample"]["image"] and np.all(image >= s)
+            assert v["witness"]["eps"] <= s.max() <= v["witness"]["r"]
 
 
 def regenerate() -> None:

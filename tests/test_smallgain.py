@@ -4,7 +4,6 @@ import pytest
 from sglab import (
     MAX,
     SUM,
-    SamplerConfig,
     as_operator,
     build_network,
     cycle_gain_check,
@@ -20,10 +19,6 @@ from sglab import (
     uniform_nji_probe,
 )
 from conftest import contracting_sum_network, random_network
-
-
-def small_budget(n=500):
-    return SamplerConfig(budget=n)
 
 
 class TestNjiProbe:
@@ -62,32 +57,28 @@ class TestNjiProbe:
 
 class TestUniformNjiProbe:
     def test_witness_level(self, two_node_half):
-        v = uniform_nji_probe(two_node_half, r=1.0, eps=0.5, sampler=small_budget(2000))
-        assert v.status == "evidence"
-        assert v.witness["n"] == 1 and v.witness["delta"] == 0.5
+        v = uniform_nji_probe(two_node_half, r=1.0, eps=0.5)
+        assert v.status == "pass"
+        assert v.witness == {"r": 1.0, "eps": 0.5, "step": 2, "norm": 0.25}
 
     def test_expanding_fails(self, two_node_double):
-        v = uniform_nji_probe(two_node_double, r=1.0, eps=0.5, sampler=small_budget(200))
+        v = uniform_nji_probe(two_node_double, r=1.0, eps=0.5)
         assert v.failed
         s = np.asarray(v.counterexample["s"])
-        i = v.counterexample["i"]
-        assert s[i] >= 0.5
-        # no in-neighborhood coordinate of i decays at this sample
-        op = as_operator(two_node_double)
-        t = op(s)
-        js = sorted(neighborhood(two_node_double.graph, i, v.counterexample["n"]))
-        assert not np.any((s[js] >= v.counterexample["delta"]) & (t[js] < s[js]))
+        assert 0.5 <= np.max(s) <= 1.0
+        # a joint increase: no coordinate decays, so no in-neighborhood holds a decaying node
+        t = as_operator(two_node_double)(s)
+        np.testing.assert_array_equal(t, v.counterexample["image"])
+        assert np.all(t >= s)
 
     def test_agrees_with_nji_on_random_nets(self):
-        # the level eps sits well above the delta-grid floor so decaying
-        # witnesses of moderate samples cannot slip below the grid
         rng = np.random.default_rng(77)
         for _ in range(20):
             expanding = rng.random() < 0.5
             slope_range = (1.2, 2.0) if expanding else (0.1, 0.7)
             net = random_network(rng, n_max=4, slope_range=slope_range, p_edge=0.6)
             plain = nji_probe(net)
-            uniform = uniform_nji_probe(net, r=1.0, eps=0.25, sampler=SamplerConfig(budget=2000))
+            uniform = uniform_nji_probe(net, r=1.0, eps=0.25)
             assert plain.failed == uniform.failed
 
 
@@ -158,6 +149,34 @@ class TestSpectralCondition:
         v = spectral_condition(net)
         assert v.status == "inconclusive" and not v.failed and v.counterexample is None
         assert v.witness["growth_ratio"] == pytest.approx(1.1, abs=1e-9)
+
+    @staticmethod
+    def nearcrit(maf):
+        """rho(A) = 0.9995: ||T^n(1)|| stays above 1 for thousands of steps, through the gain 1000 into node 2."""
+        return build_network(3, [(0, 1, linear(0.9995)), (1, 0, linear(0.9995)), (0, 2, linear(1000.0))], maf)
+
+    def test_linear_solve_decides_a_slowly_contracting_sum(self):
+        net = self.nearcrit(SUM)
+        v = spectral_condition(net)
+        x, image = np.asarray(v.witness["x"]), np.asarray(v.witness["image"])
+        assert v.status == "pass" and "Collatz-Wielandt" in v.note
+        np.testing.assert_allclose(x, [2000.0, 2000.0, 2000001.0], rtol=1e-9)
+        np.testing.assert_allclose(image, [1999.0, 1999.0, 2000000.0], rtol=1e-9)
+        np.testing.assert_array_equal(as_operator(net)(x), image)
+        assert np.all(x > 0) and np.all(image < x)
+
+    def test_linear_solve_on_the_enlarged_operator(self):
+        net = self.nearcrit(SUM)
+        v = spectral_condition(net, rho=linear(0.0004))  # (1 + 0.0004) * 0.9995 < 1
+        x = np.asarray(v.witness["x"])
+        assert v.status == "pass" and np.all(as_operator(net, linear(0.0004))(x) < x)
+        v = spectral_condition(net, rho=linear(0.001))  # (1 + 0.001) * 0.9995 > 1: x has negative entries
+        assert v.status == "inconclusive" and "growth_ratio" in v.witness
+
+    def test_linear_solve_leaves_unstable_sums_and_max_networks_undecided(self):
+        assert spectral_condition(build_network(2, [(1, 0, linear(1.1)), (0, 1, linear(1.1))], SUM)).status == "inconclusive"
+        assert spectral_condition(build_network(2, [(1, 0, linear(1.0)), (0, 1, linear(1.0))], SUM)).status == "inconclusive"
+        assert spectral_condition(self.nearcrit(MAX)).status == "inconclusive"
 
     def test_nonlinear_rejected(self):
         from sglab import KFun

@@ -1,6 +1,7 @@
 """Smoke tests of ``tools/same_bytes.py``."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,14 +19,28 @@ def test_the_repository_against_itself():
     lines = done.stdout.splitlines()
     assert lines[0] == "fleet seed 1: no differences"
     kinds = {line.split()[0] for line in lines[2:]}
-    assert kinds == {"check", "path", "simulate"} and all("(+0)" in line for line in lines[2:])
+    assert kinds == {"check", "path", "simulate"}
+    for line in lines[2:]:
+        calls, columns, peak = (re.search(rf"{word} +([\d.]+) -> +([\d.]+) ", line).groups() for word in ("applications", "columns", "heap peak"))
+        assert calls[0] == calls[1] and columns[0] == columns[1] and float(peak[0]) > 0 and float(peak[1]) > 0
+
+
+def test_work_table_shows_the_heap_peak(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, work, peak in ((a, {"check": [3, 7]}, {"check": 2_500_000, "path": 1_000}), (b, {"check": [2, 5]}, {"check": 750_000})):
+        root.mkdir()
+        (root / "summary.json").write_text(json.dumps({"ops": [], "work": work, "peak": peak}))
+    assert same_bytes.work_table(a, b)[1:] == [
+        "  check     applications        3 ->        2 (-1)   columns          7 ->          5 (-2)   heap peak    2.500 ->    0.750 MB (-1.750)",
+        "  path      applications        0 ->        0 (+0)   columns          0 ->          0 (+0)   heap peak    0.001 ->    0.000 MB (-0.001)",
+    ]
 
 
 def write_round(root, cert, rc, log):
     (root / "work").mkdir(parents=True)
     (root / "work" / "cert.json").write_text(cert)
     ops = [{"argv": ["check", "OUT/work/net.json"], "rc": rc, "log": log}]
-    (root / "summary.json").write_text(json.dumps({"ops": ops, "work": {"check": [3, 7]}}))
+    (root / "summary.json").write_text(json.dumps({"ops": ops, "work": {"check": [3, 7]}, "peak": {"check": 1_000}}))
 
 
 def test_differences_mask_only_the_wall_time(tmp_path):

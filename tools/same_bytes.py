@@ -11,13 +11,15 @@ and ``perfbench/run.py`` unchanged, writes the workload's network files
 for the seed and runs one round of the workload's commands through
 ``run.run_round``, with sglab imported from the checkout's ``src/``.
 While the round runs, every ``GainOperator.__call__`` is counted, with
-its columns, per command kind.
+its columns, per command kind, and ``tracemalloc`` records the heap peak
+of each command above what was allocated before it.
 
 For each pair the tool then lists every file of the two rounds (network
 files and outputs) whose bytes differ, with certificates'
 ``wall_seconds`` masked, and every command whose exit code or log (its
 standard output and error) differs, and prints the applications and
-columns per command kind.  It exits 2 when some round fails to run, else
+columns and the largest heap peak of one command per command kind.  It
+exits 2 when some round fails to run, else
 1 when some pair differs, else 0; a difference in operator work alone is
 reported, not counted as a difference.
 """
@@ -30,6 +32,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -40,7 +43,7 @@ WORKER = "import sys; sys.path.insert(0, {tools!r}); import same_bytes; same_byt
 
 def one_round(checkout: str, workload: str, seed: str, out: str) -> None:
     """Run one round of ``workload`` at ``seed`` from ``checkout`` into ``out/work``
-    and write its commands, exit codes, logs and operator work to ``out/summary.json``."""
+    and write its commands, exit codes, logs, operator work and heap peaks to ``out/summary.json``."""
     root, out = Path(checkout).resolve(), Path(out).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import gen  # the checkout's own benchmark modules, unchanged
@@ -51,6 +54,7 @@ def one_round(checkout: str, workload: str, seed: str, out: str) -> None:
     if Path(sglab.cli.__file__).resolve().parent != root / "src" / "sglab":
         raise SystemExit(f"imported sglab from {sglab.cli.__file__}, not from {root / 'src'}")
     work: dict[str, list[int]] = {}
+    peak: dict[str, int] = {}
     kind = [""]
     apply = GainOperator.__call__
 
@@ -62,15 +66,22 @@ def one_round(checkout: str, workload: str, seed: str, out: str) -> None:
 
     def main(argv):
         kind[0] = argv[0]
-        return sglab.cli.main(argv)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            return sglab.cli.main(argv)
+        finally:
+            peak[argv[0]] = max(peak.get(argv[0], 0), tracemalloc.get_traced_memory()[1] - before)
 
     GainOperator.__call__ = counted
+    tracemalloc.start()
     items = gen.write(workload, int(seed), out / "work" / "nets")
     ops = run.run_round(types.SimpleNamespace(main=main), items, out / "work" / "round")["ops"]
     here = lambda text: text.replace(str(out), "OUT")  # noqa: E731
     summary = {
         "ops": [{"argv": [here(a) for a in op["argv"]], "rc": op["rc"], "log": here(op["log"])} for op in ops],
         "work": work,
+        "peak": peak,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=1) + "\n")
 
@@ -97,11 +108,15 @@ def differences(a: Path, b: Path) -> list[str]:
 
 
 def work_table(a: Path, b: Path) -> list[str]:
-    wa, wb = (json.loads((d / "summary.json").read_text())["work"] for d in (a, b))
-    lines = ["GainOperator.__call__ per command kind, parent -> change:"]
-    for kind in sorted(wa.keys() | wb.keys()):
+    (wa, pa), (wb, pb) = ((s["work"], s["peak"]) for s in (json.loads((d / "summary.json").read_text()) for d in (a, b)))
+    lines = ["GainOperator.__call__ and the largest heap peak of one command per command kind, parent -> change:"]
+    for kind in sorted(wa.keys() | wb.keys() | pa.keys() | pb.keys()):
         (ca, ka), (cb, kb) = wa.get(kind, [0, 0]), wb.get(kind, [0, 0])
-        lines.append(f"  {kind:<9} applications {ca:>8} -> {cb:>8} ({cb - ca:+d})   columns {ka:>10} -> {kb:>10} ({kb - ka:+d})")
+        ma, mb = pa.get(kind, 0) / 1e6, pb.get(kind, 0) / 1e6
+        lines.append(
+            f"  {kind:<9} applications {ca:>8} -> {cb:>8} ({cb - ca:+d})   columns {ka:>10} -> {kb:>10} ({kb - ka:+d})"
+            f"   heap peak {ma:>8.3f} -> {mb:>8.3f} MB ({mb - ma:+.3f})"
+        )
     return lines
 
 
