@@ -68,11 +68,8 @@ from .paths import (
 )
 from .smallgain import (
     ModulusChain,
-    SamplerConfig,
     SgcVerdict,
-    cone_samples,
     cycle_gain_check,
-    cycle_profile,
     decayset_coercivity,
     delta_chain,
     max_mbi_probe,

@@ -71,11 +71,14 @@ def _gain_flag(text: str) -> KFun:
 
 def _parse_grid_flag(text: str) -> np.ndarray:
     """``geometric:kmin:kmax`` gives the grid 2**k, k in [kmin, kmax], with
-    -1074 <= kmin <= kmax <= 1023: every 2**k a positive finite double."""
+    -1022 <= kmin <= kmax <= 993: every ray 2**k is a normal double (a
+    subnormal ray s can have 0.7 * s round back up to s), and every
+    fixed-point run from a ray, ``combined``'s cap ray 2 * r included, has a
+    finite divergence bound 1e9 * r + 1, as ``_parse_start`` asks of a start."""
     parts = text.split(":")
-    if parts[0] == "geometric" and len(parts) == 3 and -1074 <= int(parts[1]) <= int(parts[2]) <= 1023:
+    if parts[0] == "geometric" and len(parts) == 3 and -1022 <= int(parts[1]) <= int(parts[2]) <= 993:
         return default_knots(int(parts[1]), int(parts[2]))
-    raise InputError(f"cannot parse grid {text!r}: need geometric:kmin:kmax with kmin <= kmax, each in -1074..1023")
+    raise InputError(f"cannot parse grid {text!r}: need geometric:kmin:kmax with kmin <= kmax, each in -1022..993")
 
 
 def _parse_start(text: str, n: int) -> np.ndarray:

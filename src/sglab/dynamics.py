@@ -56,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from .cone import sup_norm
-from .kfun import KFun, MonotoneSamples, Side, envelope
+from .kfun import KFun, MonotoneSamples, Side, _distinct, envelope
 from .network import GainNetwork
 
 __all__ = [
@@ -437,7 +437,7 @@ def _max_fixed_points(op: GainOperator, b: np.ndarray, caps: np.ndarray, stop: S
         if not todo.size:
             break
         # one top per distinct cap: every knot r <= 1 of combined_path has cap 2
-        tops = _ray_batch(op, (), 0, np.unique(caps[todo]), stop.max_iter, stop).fixed_points(caps[todo])
+        tops = _ray_batch(op, (), 0, _distinct(caps[todo]), stop.max_iter, stop).fixed_points(caps[todo])
         up = np.asarray([st is StopReason.CONVERGED for st in tops[3]], dtype=bool)
         put(todo[~up], tops, ~up, [st for st, u in zip(tops[3], up) if not u])
         cols = todo[up]

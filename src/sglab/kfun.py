@@ -311,8 +311,20 @@ def envelope(samples: MonotoneSamples, side: Side) -> KFun:
 # -- internals ----------------------------------------------------------
 
 
+def _distinct(*arrays) -> np.ndarray:
+    """The sorted distinct values of ``arrays`` together: bit for bit those of
+    ``np.unique`` on their concatenation when none is NaN or -0.0 (of -0.0 and
+    0.0 the first in input order is kept).  ``np.unique`` imports ``numpy.ma``
+    on its first call in a process, about 11 ms of a fresh command."""
+    a = np.sort(np.concatenate(arrays, axis=None), kind="stable")
+    keep = np.empty(a.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _merge_knots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    xs = np.unique(np.concatenate([np.atleast_1d(a), np.atleast_1d(b)]))
+    xs = _distinct(a, b)
     xs = xs[xs >= 0.0]
     if len(xs) == 0 or xs[0] != 0.0:
         xs = np.concatenate(([0.0], xs))

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kfun import KFun, KFunError, identity, linear, pointwise_max, pointwise_min, power_kfun
+from .kfun import KFun, KFunError, _distinct, identity, linear, pointwise_max, pointwise_min, power_kfun
 
 __all__ = [
     "NetworkError",
@@ -173,7 +173,7 @@ class GainNetwork:
         xs, ys, slopes, caps = (
             np.concatenate([np.zeros(0)] + [getattr(g, a) for g in gains]) for a in ("xs", "ys", "_out_slopes", "_caps")
         )
-        grid = np.unique(xs)
+        grid = _distinct(xs)
         offsets = np.cumsum([0] + [len(g.xs) for g in gains])
         rank = np.concatenate(  # int32: the table is (distinct gains) x (merged knots)
             [np.zeros(0, int)] + [g.xs.searchsorted(grid, "right") - 1 + o for g, o in zip(gains, offsets)], dtype=np.int32

@@ -9,13 +9,7 @@ Otherwise ``pass`` is reserved for the decidable subclasses: cycle-gain
 checks on a declared interval for max aggregation, and, for linear gains,
 a power iterate ``T^n(1)`` of norm below 1 or, for sum aggregation, the
 solution ``x > 0`` of ``(I - A) x = 1`` with ``T(x) < x``.  A run that
-stops undecided is ``inconclusive``.
-
-No probe samples.  ``cone_samples`` remains a library sampler of cone
-vectors, which ``perfbench/spans.py`` still traces under this module's
-name: it draws a deterministic prefix (rays, unit bumps, cycle profiles)
-before any seeded randomness, so canonical vectors come out regardless
-of seed.
+stops undecided is ``inconclusive``.  No probe draws at random.
 """
 
 from __future__ import annotations
@@ -30,14 +24,20 @@ import numpy as np
 from .cone import coercivity_check, sup_norm
 # min_fixed_point stays bound here: perfbench/spans.py traces it under this module's name
 from .dynamics import MonotoneStepError, StopReason, StopRule, _grid, _ray_batch, _Rays, _scan, as_operator, cofinality_witness, min_fixed_point  # noqa: F401
-from .kfun import KFun, MonotoneSamples, Side, compose_power, envelope, id_plus, identity
+from .kfun import KFun, MonotoneSamples, Side, _distinct, compose_power, envelope, id_plus, identity
 from .network import GainNetwork, _simple_cycles, graph_diameter, is_strongly_connected
 
 nx = None  # perfbench/spans.py patches this binding when it traces a run
 
+
+def cone_samples(*args, **kwargs):
+    """A placeholder, not a sampler: it exists only so that ``perfbench/spans.py``
+    can wrap the name ``sglab.smallgain.cone_samples`` when it traces a run."""
+    raise NotImplementedError("the cone sampler was removed: no sglab verdict draws cone samples")
+
+
 __all__ = [
     "SgcVerdict",
-    "SamplerConfig",
     "ModulusChain",
     "nji_probe",
     "uniform_nji_probe",
@@ -46,8 +46,6 @@ __all__ = [
     "spectral_condition",
     "delta_chain",
     "decayset_coercivity",
-    "cone_samples",
-    "cycle_profile",
 ]
 
 
@@ -75,192 +73,6 @@ class SgcVerdict:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-_CYCLE_BUDGET = 10_000  # simple cycles cycle_gain_check composes before it reports partial coverage
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Seed and column budget of ``cone_samples``; sampled norms span [1e-3, 8]."""
-
-    seed: int = 0
-    budget: int = 10_000
-
-    def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError(f"the sampling budget must be at least 1, got {self.budget}")
-
-
-# -- sampling --------------------------------------------------------------
-
-
-def _cycles(net: GainNetwork, limit: int):
-    """Up to ``limit`` simple cycles; returns (cycles, truncated flag).
-
-    The order is a contract, since certificate bytes follow it: each
-    cycle once, as its node list from its least node, and the lists in
-    lexicographic order (``network._simple_cycles``).
-    """
-    gen = _simple_cycles(net.graph)
-    cycles = list(itertools.islice(gen, limit))
-    truncated = next(gen, None) is not None
-    return cycles, truncated
-
-
-def _sample_cycles(net: GainNetwork):
-    """The first 64 simple cycles (and the truncated flag) that sample
-    profiles follow, enumerated once per network and kept on it."""
-    memo = net.__dict__
-    if "_sample_cycles" not in memo:
-        memo["_sample_cycles"] = _cycles(net, 64)
-    return memo["_sample_cycles"]
-
-
-def cycle_profile(net: GainNetwork, cycle: Sequence[int], root: float, rho: KFun | None = None) -> np.ndarray:
-    """Gain-consistent vector along a cycle: each node carries the chained
-    gain of the root value.  Aggregation dominates single in-values, so
-    the profile violates no-joint-increase exactly when the cycle map
-    does not contract at the root."""
-    s = np.zeros(net.n)
-    s[cycle[0]] = root
-    val = root
-    for a, b in zip(cycle, cycle[1:]):
-        val = net.edge_gain[(a, b)](val)
-        if rho is not None:
-            val = val + rho(val)
-        s[b] = max(s[b], val)
-    return s
-
-
-_DRAW_CHUNK_ELEMENTS = 1 << 16  # PCG64 words per bulk decode pass of cone_samples: bounds the temporaries
-
-
-def cone_samples(net: GainNetwork, cfg: SamplerConfig, rho: KFun | None = None, scale_cap: float | None = None) -> np.ndarray:
-    """Sample matrix (columns are cone vectors), deterministic prefix first.
-
-    ``scale_cap`` restricts all columns to the closed norm ball of that
-    radius.  No probe calls the sampler.  The random columns after the
-    prefix are a compatibility contract: they are the columns
-    ``_draw_group`` draws from ``default_rng([seed, 0xC0DE])``, group
-    after group, decoded in bulk (``_draw_groups``) to the same bits.
-    """
-    n = net.n
-    lo, hi = 1e-3, 8.0
-    if scale_cap is not None:
-        hi = min(hi, scale_cap)
-        lo = min(lo, hi / 1024.0)
-    levels = np.geomspace(lo, hi, 9)
-    s = np.zeros((n, cfg.budget))
-    k = 0  # next column; prefix columns past the budget are dropped
-
-    def put(value, row=slice(None)) -> None:
-        nonlocal k
-        if k < cfg.budget:
-            s[row, k] = value
-        k += 1
-
-    put(min(1.0, hi))  # the canonical all-ones probe leads
-    for r in levels:
-        put(r)
-    ends = (levels[0], levels[len(levels) // 2], levels[-1])
-    for i in range(min(n, 32)):
-        for r in ends:
-            put(r, i)
-    cycles, _ = _sample_cycles(net)
-    for cyc in cycles:
-        for r in ends:
-            prof = cycle_profile(net, cyc, r, rho)
-            m = sup_norm(prof)
-            if m > 0 and scale_cap is not None and m > scale_cap:
-                prof = prof * (scale_cap / m)
-            put(prof)
-    if k < cfg.budget:
-        _draw_groups(np.random.default_rng([cfg.seed, 0xC0DE]), s, k, np.log(lo), np.log(hi))
-    if scale_cap is not None:
-        norms = np.max(s, axis=0)
-        over = norms > scale_cap
-        if np.any(over):
-            s[:, over] *= scale_cap / norms[over]
-    return s
-
-
-def _draw_group(rng: np.random.Generator, s: np.ndarray, j0: int, log_lo: float, log_hi: float) -> None:
-    """Columns ``j0, j0 + 1, j0 + 2`` (those inside ``s``), one ``rng`` call at a time: a ray,
-    a unit bump at a random row, and a random vector rescaled to a random norm (no norm draw for 0)."""
-    n = s.shape[0]
-    for j in range(j0, min(j0 + 3, s.shape[1])):
-        mode = j - j0
-        if mode == 0:
-            s[:, j] = np.exp(rng.uniform(log_lo, log_hi))
-        elif mode == 1:
-            r = np.exp(rng.uniform(log_lo, log_hi))
-            s[int(rng.integers(n)), j] = r
-        else:
-            v = np.exp(rng.uniform(log_lo, log_hi, size=n)) * rng.uniform(0.0, 1.0, size=n)
-            m = sup_norm(v)
-            if m > 0:
-                target = np.exp(rng.uniform(log_lo, log_hi))
-                v = v * (target / m)
-            s[:, j] = v
-
-
-def _lemire(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``integers(n)`` on 32-bit halves ``x`` (Lemire): the values, and the halves it rejects."""
-    scaled = x * np.uint64(n)
-    return scaled >> np.uint64(32), (scaled & np.uint64(0xFFFFFFFF)) < (1 << 32) % n
-
-
-def _rare_groups(rejected: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Groups off the common word layout: a rejected half draws another, a zero norm no target."""
-    return rejected | ~(norms > 0)
-
-
-def _draw_groups(rng: np.random.Generator, s: np.ndarray, k: int, log_lo: float, log_hi: float) -> None:
-    """Columns ``k:`` of ``s`` as ``_draw_group`` fills them, decoded from the PCG64 words.
-
-    A double is ``(w >> 11) * 2**-53`` of a word ``w``.  ``integers(n)`` takes a
-    fresh word's low half and buffers its high half for the next draw (no draw
-    when ``n == 1``).  So a group is a word, a word and a half-word draw, and
-    ``2n + 1`` words.  A rare group is rewound to and drawn by ``_draw_group``.
-    """
-    bg = rng.bit_generator
-    n = s.shape[0]
-    span = log_hi - log_lo
-    groups = (s.shape[1] - k) // 3  # a trailing part-group is drawn call by call
-    g = 0
-    while g < groups:
-        state = bg.state
-        m = min(max(1, _DRAW_CHUNK_ELEMENTS // (2 * n + 4)), groups - g)
-        fresh = (np.arange(m + 1) + state["has_uint32"]) % 2 == 0 if n > 1 else np.zeros(m + 1, bool)
-        starts = np.concatenate(([0], np.cumsum(2 * n + 3 + fresh[:m])))
-        words = bg.random_raw(int(starts[-1]) + 3)  # the slack holds the half word after the chunk
-        doubles = (words >> np.uint64(11)) * 2.0**-53
-        halves = words[np.where(fresh, starts + 2, np.roll(starts + 2, 1))]
-        x = np.where(fresh, halves & np.uint64(0xFFFFFFFF), halves >> np.uint64(32))
-        if state["has_uint32"]:
-            x[0] = state["uinteger"]
-        rows, rejected = _lemire(x[:m], n)
-        d = doubles[(starts[:m] + 2 + fresh[:m])[:, None] + np.arange(2 * n + 1)]
-        v = np.exp(log_lo + span * d[:, :n]) * d[:, n : 2 * n]
-        norms = v.max(axis=1)
-        rare = np.flatnonzero(_rare_groups(rejected, norms))
-        cut = int(rare[0]) if rare.size else m
-        j0 = k + 3 * g
-        s[:, j0 : j0 + 3 * cut : 3] = np.exp(log_lo + span * doubles[starts[:cut]])
-        s[rows[:cut].astype(np.intp), np.arange(j0 + 1, j0 + 3 * cut, 3)] = np.exp(log_lo + span * doubles[starts[:cut] + 1])
-        targets = np.exp(log_lo + span * d[:cut, 2 * n])
-        s[:, j0 + 2 : j0 + 3 * cut : 3] = (v[:cut] * (targets / norms[:cut])[:, None]).T
-        # the generator goes just after group g + cut, with the half word the next draw would take
-        bg.state = state
-        bg.advance(int(starts[cut]))
-        bg.state = {**bg.state, "has_uint32": int(n > 1 and not fresh[cut]), "uinteger": int(x[cut])}
-        g += cut
-        if cut < m:
-            _draw_group(rng, s, k + 3 * g, log_lo, log_hi)
-            g += 1
-    if (s.shape[1] - k) % 3:
-        _draw_group(rng, s, k + 3 * groups, log_lo, log_hi)
 
 
 # -- probes ----------------------------------------------------------------
@@ -341,7 +153,7 @@ def _check_rays(net: GainNetwork, rho: KFun | None, r_grid: Sequence[float] | No
     ``uniform_r``; each reads it as ``_rays``."""
     table, stop = _grid(r_grid, 8), StopRule()
     tops = () if uniform_r is None else (table[-1], uniform_r)
-    return _ray_batch(as_operator(net, rho), table, n_max, np.union1d(table, _grid(r_grid, 10)), stop.max_iter, stop, tops)
+    return _ray_batch(as_operator(net, rho), table, n_max, _distinct(table, _grid(r_grid, 10)), stop.max_iter, stop, tops)
 
 
 def max_mbi_probe(
@@ -363,7 +175,7 @@ def max_mbi_probe(
     """
     r_grid = _grid(r_grid, 10).tolist()
     if _rays is None:
-        _rays = _ray_batch(as_operator(net, rho), (), 0, np.unique(r_grid), stop.max_iter, stop)
+        _rays = _ray_batch(as_operator(net, rho), (), 0, _distinct(r_grid), stop.max_iter, stop)
     pairs = [(0.0, 0.0)]
     for r, res in zip(r_grid, _scan(*_rays.fixed_points(r_grid))):
         if res.status is StopReason.DIVERGED:
@@ -391,6 +203,22 @@ def max_mbi_probe(
         },
         samples=len(r_grid),
     )
+
+
+_CYCLE_BUDGET = 10_000  # simple cycles cycle_gain_check composes before it reports partial coverage
+
+
+def _cycles(net: GainNetwork, limit: int):
+    """Up to ``limit`` simple cycles; returns (cycles, truncated flag).
+
+    The order is a contract, since certificate bytes follow it: each
+    cycle once, as its node list from its least node, and the lists in
+    lexicographic order (``network._simple_cycles``).
+    """
+    gen = _simple_cycles(net.graph)
+    cycles = list(itertools.islice(gen, limit))
+    truncated = next(gen, None) is not None
+    return cycles, truncated
 
 
 def cycle_gain_check(

@@ -476,18 +476,32 @@ class TestEmptyGrid:
 
 
 class TestGridRange:
-    """A ``geometric:kmin:kmax`` grid needs every 2**k to be a positive finite
-    double, so k in -1074..1023; any other k is unusable input."""
+    """A ``geometric:kmin:kmax`` grid needs -1022 <= k <= 993: every ray 2**k
+    is a normal double, and every fixed-point run from a ray, ``combined``'s
+    cap ray 2 * r included, has a finite divergence bound 1e9 * r + 1.  Any
+    other k is unusable input."""
 
     FLAGS = [["check", "--grid"], ["path", "--knots"]]
+    GOLDEN = Path(__file__).resolve().parent / "golden"
 
     @pytest.mark.parametrize("flag", FLAGS, ids=["check", "path"])
-    @pytest.mark.parametrize("grid", ["geometric:0:1100", "geometric:-1100:-1090", "geometric:-1075:0", "geometric:0:1024"])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "geometric:0:1100",
+            "geometric:-1100:-1090",
+            "geometric:-1075:0",
+            "geometric:0:1024",
+            "geometric:-1074:-1070",
+            "geometric:-1023:0",
+            "geometric:994:994",
+        ],
+    )
     def test_out_of_range_rejected(self, files, tmp_path, flag, grid, capsys):
         code = main([flag[0], files["a"], flag[1], grid, "--out", str(tmp_path / "cert.json")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("input error:") and grid in err and "-1074..1023" in err and err.count("\n") == 1
+        assert err.startswith("input error:") and grid in err and "-1022..993" in err and err.count("\n") == 1
         assert not (tmp_path / "cert.json").exists()
 
     def test_extreme_exponents_build_no_grid(self, files, tmp_path):
@@ -499,9 +513,33 @@ class TestGridRange:
     def test_ends_of_the_range_accepted(self):
         from sglab.cli import _parse_grid_flag
 
-        grid = _parse_grid_flag("geometric:-1074:1023")
-        assert len(grid) == 2098 and grid[0] == 5e-324 and grid[-1] == 2.0**1023
+        grid = _parse_grid_flag("geometric:-1022:993")
+        assert len(grid) == 2016 and grid[0] == 2.0**-1022 and grid[-1] == 2.0**993
         assert np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)
+
+    def test_subnormal_rays_refused_normal_ones_decided(self, tmp_path, capsys):
+        # at 2**-1074, 0.7 * s rounds back up to s, so T(s) = s read as a joint increase
+        ring = str(self.GOLDEN / "ring3_max.json")
+        out = tmp_path / "cert.json"
+        assert main(["check", ring, "--grid", "geometric:-1074:-1070", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1 and not out.exists()
+        assert main(["check", ring, "--grid", "geometric:-1022:-1018", "--out", str(out)]) == 0
+        assert {v["condition"]: v["status"] for v in read_cert(out)["verdicts"]}["nji"] == "pass"
+
+    @pytest.mark.parametrize("method, k", [("combined", 994), ("minimal", 995)])
+    def test_rays_without_a_finite_divergence_bound_refused(self, capsys, method, k):
+        # above the range the run never reads as diverged: inf - inf = NaN until the step cap
+        cross = str(self.GOLDEN / "cross3_max.json")
+        assert main(["path", cross, "--method", method, "--knots", f"geometric:{k}:{k}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
+    def test_top_of_the_range_diverges_as_a_failure(self, tmp_path):
+        # a child process: the first gained value overflows, which numpy warns about
+        proc = run_limited(["path", str(self.GOLDEN / "cross3_max.json"), "--method", "combined", "--knots", "geometric:993:993"], tmp_path)
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["verdicts"][0]["status"] == "fail"
 
 
 class TestSimulateSteps:
@@ -672,6 +710,37 @@ class TestParserReuse:
         mask = lambda text: re.sub(r'"wall_seconds": [^\s,}]+', "", text)  # noqa: E731
         assert [(c, mask(o), e) for c, o, e in reused] == [(c, mask(o), e) for c, o, e in fresh]
         assert [c for c, _, _ in reused] == [0, 0, 2, 1, 0, 0, 0]
+
+
+class TestFreshProcess:
+    def test_commands_do_not_import_numpy_ma(self, tmp_path):
+        # np.unique and np.union1d import numpy.ma on their first call, about 11 ms of a fresh command
+        golden = Path(__file__).resolve().parent / "golden"
+        script = (
+            "import sys; from sglab.cli import main\n"
+            "for argv in sys.argv[1:]:\n"
+            "    main(argv.split())\n"
+            "    assert 'numpy.ma' not in sys.modules, argv\n"
+        )
+        argvs = []
+        for name in ("ring3_max", "sum4_linear", "cross3_max"):
+            net, out = golden / f"{name}.json", tmp_path / name
+            argvs += [
+                f"check {net} --out {out}.cert.json",
+                f"path {net} --method combined --out {out}.combined.json",
+                f"path {net} --method orbit --start ray:1 --out {out}.orbit.json",
+                f"path {net} --method minimal --out {out}.minimal.json",
+                f"simulate {net} --start ray:1 --out {out}.csv",
+            ]
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps(CHAIN))
+        argvs.append(f"check {chain} --N 4 --N 6 --out {tmp_path / 'sweep.json'}")
+        src = str(Path(sglab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argvs], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "ring3_max.cert.json").exists() and (tmp_path / "sweep.json").exists()
 
 
 class TestUnusablePaths:

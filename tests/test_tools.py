@@ -18,9 +18,11 @@ def test_the_repository_against_itself():
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "fleet seed 1: no differences"
-    kinds = {line.split()[0] for line in lines[2:]}
+    total = same_bytes.src_lines(str(ROOT))
+    assert lines[-1] == f"src/sglab/*.py lines, parent -> change: {total} -> {total} (+0)"
+    kinds = {line.split()[0] for line in lines[2:-1]}
     assert kinds == {"check", "path", "simulate"}
-    for line in lines[2:]:
+    for line in lines[2:-1]:
         calls, columns, peak = (re.search(rf"{word} +([\d.]+) -> +([\d.]+) ", line).groups() for word in ("applications", "columns", "heap peak"))
         assert calls[0] == calls[1] and columns[0] == columns[1] and float(peak[0]) > 0 and float(peak[1]) > 0
 
@@ -68,6 +70,19 @@ def test_every_workload_at_every_seed(monkeypatch, capsys):
     argv = ["P", "C", "--workload", "fleet", "--workload", "refute", "--workload", "lattice", "--seed", "1", "--seed", "2"]
     assert same_bytes.main(argv) == 1
     assert pairs == [(w, s) for w in ("fleet", "refute", "lattice") for s in (1, 2)]
-    assert capsys.readouterr().out.splitlines() == [f"{w} seed {s}" for w, s in pairs]
+    totals = "src/sglab/*.py lines, parent -> change: 0 -> 0 (+0)"  # P and C hold no sources
+    assert capsys.readouterr().out.splitlines() == [f"{w} seed {s}" for w, s in pairs] + [totals]
     pairs.clear()
     assert same_bytes.main(["P", "C", "--workload", "fleet", "--seed", "3"]) == 0 and pairs == [("fleet", 3)]
+
+
+def test_line_totals_of_both_checkouts(tmp_path, monkeypatch, capsys):
+    for name, texts in (("parent", ["a\nb\n", "c\n"]), ("change", ["a\n", "no newline"])):
+        (tmp_path / name / "src" / "sglab").mkdir(parents=True)
+        for k, text in enumerate(texts):
+            (tmp_path / name / "src" / "sglab" / f"m{k}.py").write_text(text)
+    (tmp_path / "change" / "src" / "sglab" / "notes.txt").write_text("not\ncounted\n")
+    assert same_bytes.src_lines(str(tmp_path / "parent")) == 3 and same_bytes.src_lines(str(tmp_path / "change")) == 1
+    monkeypatch.setattr(same_bytes, "compare", lambda *args: 0)
+    assert same_bytes.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "fleet", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == "src/sglab/*.py lines, parent -> change: 3 -> 1 (-2)\n"

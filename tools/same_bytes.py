@@ -18,8 +18,10 @@ For each pair the tool then lists every file of the two rounds (network
 files and outputs) whose bytes differ, with certificates'
 ``wall_seconds`` masked, and every command whose exit code or log (its
 standard output and error) differs, and prints the applications and
-columns and the largest heap peak of one command per command kind.  It
-exits 2 when some round fails to run, else
+columns and the largest heap peak of one command per command kind.
+Last it prints the line totals of both checkouts' ``src/sglab/*.py``, as
+``wc -l`` counts them, so that a change's size and its byte identity come
+from one command.  It exits 2 when some round fails to run, else
 1 when some pair differs, else 0; a difference in operator work alone is
 reported, not counted as a difference.
 """
@@ -120,6 +122,11 @@ def work_table(a: Path, b: Path) -> list[str]:
     return lines
 
 
+def src_lines(checkout: str) -> int:
+    """The newlines in ``checkout``'s ``src/sglab/*.py`` files, the total of ``wc -l``."""
+    return sum(p.read_bytes().count(b"\n") for p in Path(checkout, "src", "sglab").glob("*.py"))
+
+
 def compare(parent: str, change: str, workload: str, seed: int) -> int:
     """Run and compare one round of ``workload`` at ``seed`` from both checkouts,
     print the report and return 0 (no differences), 1 (differences) or 2 (a
@@ -146,7 +153,10 @@ def main(argv=None) -> int:
     p.add_argument("--workload", action="append", required=True, help="repeatable")
     p.add_argument("--seed", type=int, action="append", required=True, help="repeatable")
     args = p.parse_args(argv)
-    return max([compare(args.parent, args.change, w, seed) for w in args.workload for seed in args.seed])
+    code = max([compare(args.parent, args.change, w, seed) for w in args.workload for seed in args.seed])
+    a, b = src_lines(args.parent), src_lines(args.change)
+    print(f"src/sglab/*.py lines, parent -> change: {a} -> {b} ({b - a:+d})")
+    return code
 
 
 if __name__ == "__main__":
